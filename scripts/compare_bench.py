@@ -101,18 +101,22 @@ SERVE_THROUGHPUT_SLACK = 8.0
 SERVE_LATENCY_SLACK = 16.0
 
 # The dispatch bench (BENCH_dispatch.json, written by `fairsched_exp
-# dispatch --dispatch-bench`) compares spawn-per-attempt (protocol v1)
-# against persistent sessions (protocol v2) on the same sweep. Its shape
-# counters (workers/shards/repeats, shards served over sessions, zero v1
-# fallbacks, byte-identical CSV between modes) are deterministic and
-# gated exactly. The warm-session speedup — spawn warm wall over session
-# warm wall, where "warm" excludes each mode's first repeat — has a hard
-# machine-independent floor: amortizing process spawn + plan rebuild +
-# cache warmup across shards must win at least 2x on the smoke sweep.
+# dispatch --dispatch-bench`) times repeats of one dispatch over the same
+# persistent sessions and checks every repeat's CSV against the
+# in-process whole run. Its shape counters are deterministic and gated
+# exactly: workers/shards/repeats, one session per worker, every shard of
+# every repeat served over a session, the cold repeat's cache misses
+# (one per distinct prefix) and the total cache lookups. Work stealing
+# decides which session serves a shard, so the total miss count is not
+# exact; it is bounded instead: a session misses a prefix at most once,
+# so misses never exceed workers x cold misses. The session amortization
+# — cold repeat wall over the median warm repeat wall — has a hard
+# machine-independent floor: spawn + plan rebuild + cache warmup, paid
+# once per session, must be worth at least 2x on the smoke sweep.
 # Absolute wall times only have to stay within a generous slack of the
 # recorded baseline.
 DISPATCH = "dispatch"
-DISPATCH_MIN_WARM_SPEEDUP = 2.0
+DISPATCH_MIN_COLD_WARM_RATIO = 2.0
 DISPATCH_WALL_SLACK = 8.0
 
 
@@ -297,46 +301,45 @@ def load_dispatch_bench(directory):
 
 
 def distill_dispatch(bench):
-    """One baseline record from a BENCH_dispatch.json spawn/session pair."""
+    """One baseline record from a BENCH_dispatch.json session bench."""
     return {
         "sweep": DISPATCH,
         "bench_sweep": bench["sweep"],
         "workers": bench["workers"],
         "shards": bench["shards"],
         "repeats": bench["repeats"],
-        "spawn_warm_ms": bench["spawn_warm_ms"],
         "session_cold_ms": bench["session_cold_ms"],
         "session_warm_ms": bench["session_warm_ms"],
-        "warm_speedup": bench["warm_speedup"],
+        "cold_warm_ratio": bench["cold_warm_ratio"],
         "session_opens": bench["session_opens"],
         "session_served": bench["session_served"],
-        "session_fallback": bench["session_fallback"],
         "cache_hits": bench["cache_hits"],
         "cache_misses": bench["cache_misses"],
-        "csv_identical": bench["csv_identical"],
+        "cold_cache_misses": bench["cold_cache_misses"],
+        "csv_matches_whole_run": bench["csv_matches_whole_run"],
     }
 
 
 def check_dispatch(baseline, current):
     """Failure strings for the dispatch bench pair, if any."""
     failures = []
-    for key in ("bench_sweep", "workers", "shards", "repeats"):
+    for key in ("bench_sweep", "workers", "shards", "repeats",
+                "cold_cache_misses"):
         if current[key] != baseline[key]:
             failures.append(
                 f"{DISPATCH}: {key} changed {baseline[key]} -> "
                 f"{current[key]} (re-record bench/baselines if the bench "
                 f"configuration changed)"
             )
-    if not current["csv_identical"]:
+    if not current["csv_matches_whole_run"]:
         failures.append(
-            f"{DISPATCH}: session-mode CSV diverged from spawn-mode CSV — "
-            f"the dispatch-determinism contract is broken"
+            f"{DISPATCH}: dispatched CSV diverged from the in-process whole "
+            f"run — the dispatch-determinism contract is broken"
         )
-    if current["session_fallback"] != 0:
+    if current["session_opens"] != current["workers"]:
         failures.append(
-            f"{DISPATCH}: {current['session_fallback']} attempt(s) fell "
-            f"back to spawn-per-attempt — the session worker no longer "
-            f"speaks protocol v2 to its own dispatcher"
+            f"{DISPATCH}: {current['session_opens']} session(s) opened for "
+            f"{current['workers']} worker(s) — a session died and respawned"
         )
     expected_served = current["shards"] * current["repeats"]
     if current["session_served"] != expected_served:
@@ -344,12 +347,26 @@ def check_dispatch(baseline, current):
             f"{DISPATCH}: sessions served {current['session_served']} "
             f"shard(s), expected shards x repeats = {expected_served}"
         )
-    if current["warm_speedup"] < DISPATCH_MIN_WARM_SPEEDUP:
+    lookups = current["cache_hits"] + current["cache_misses"]
+    expected_lookups = baseline["cache_hits"] + baseline["cache_misses"]
+    if lookups != expected_lookups:
         failures.append(
-            f"{DISPATCH}: warm session speedup "
-            f"{current['warm_speedup']:.2f} below the hard "
-            f"{DISPATCH_MIN_WARM_SPEEDUP:.1f}x floor (spawn warm "
-            f"{current['spawn_warm_ms']:.1f}ms / session warm "
+            f"{DISPATCH}: {lookups} cache lookup(s) (hits + misses), "
+            f"baseline {expected_lookups}"
+        )
+    max_misses = current["workers"] * current["cold_cache_misses"]
+    if current["cache_misses"] > max_misses:
+        failures.append(
+            f"{DISPATCH}: {current['cache_misses']} cache miss(es) exceed "
+            f"workers x cold misses = {max_misses} — a session recomputed "
+            f"a prefix it already held"
+        )
+    if current["cold_warm_ratio"] < DISPATCH_MIN_COLD_WARM_RATIO:
+        failures.append(
+            f"{DISPATCH}: session cold/warm ratio "
+            f"{current['cold_warm_ratio']:.2f} below the hard "
+            f"{DISPATCH_MIN_COLD_WARM_RATIO:.1f}x floor (cold "
+            f"{current['session_cold_ms']:.1f}ms / warm "
             f"{current['session_warm_ms']:.1f}ms)"
         )
     ceiling = baseline["session_warm_ms"] * DISPATCH_WALL_SLACK
@@ -410,7 +427,7 @@ def record(args):
     print(
         f"recorded {path}: workers={current['workers']} "
         f"shards={current['shards']} "
-        f"warm_speedup={current['warm_speedup']:.2f}"
+        f"cold_warm_ratio={current['cold_warm_ratio']:.2f}"
     )
     return 0
 
@@ -508,9 +525,9 @@ def check(args):
         print(
             f"{DISPATCH}: workers={current['workers']} "
             f"shards={current['shards']} "
-            f"warm_speedup={current['warm_speedup']:.2f} "
-            f"(floor {DISPATCH_MIN_WARM_SPEEDUP:.1f}x, baseline "
-            f"{baseline['warm_speedup']:.2f}) "
+            f"cold_warm_ratio={current['cold_warm_ratio']:.2f} "
+            f"(floor {DISPATCH_MIN_COLD_WARM_RATIO:.1f}x, baseline "
+            f"{baseline['cold_warm_ratio']:.2f}) "
             f"session_warm_ms={current['session_warm_ms']:.1f}"
         )
 

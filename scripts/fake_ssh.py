@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hermetic ssh stand-in for dispatch tests and CI.
 
-Usage (what SshTransport generates):
+Usage (what an ssh-wrapped session worker's argv looks like):
 
     fake_ssh.py [ssh options...] HOST COMMAND [ARGS...]
 
@@ -14,10 +14,12 @@ Failure injection (how CI induces a worker kill and a hang without
 patching the dispatcher): set ``FAKE_SSH_STATE_DIR`` to a scratch
 directory, then
 
-    FAKE_SSH_KILL_HOST=hostb   the first connection to hostb spawns the
-                               worker, waits FAKE_SSH_KILL_AFTER_MS
-                               (default 250), kills it, and exits 255 —
-                               ssh's "connection lost" exit code;
+    FAKE_SSH_KILL_HOST=hostb   the first connection to hostb is lost
+                               before it delivers anything: it spawns
+                               the worker with its output discarded,
+                               waits FAKE_SSH_KILL_AFTER_MS (default
+                               250), kills it, and exits 255 — ssh's
+                               "connection lost" exit code;
     FAKE_SSH_HANG_HOST=hostc   the first connection to hostc swallows the
                                request and sleeps FAKE_SSH_HANG_MS
                                (default 3600000), so only the
@@ -202,7 +204,9 @@ def main() -> int:
         delay = int(os.environ.get("FAKE_SSH_KILL_AFTER_MS", "250")) / 1000
         print(f"fake_ssh: will kill {host} worker after {delay:.3f}s",
               file=sys.stderr)
-        proc = subprocess.Popen(command)
+        # Nothing the worker writes reaches the dispatcher, so the lost
+        # connection fails its attempt however fast the worker is.
+        proc = subprocess.Popen(command, stdout=subprocess.DEVNULL)
         time.sleep(delay)
         try:
             proc.send_signal(signal.SIGKILL)
@@ -216,7 +220,7 @@ def main() -> int:
             return run_session_proxy(command, mode, host)
 
     # The normal path: become the worker. exec keeps the process tree
-    # flat, so the dispatcher's timeout kill reaches the worker itself.
+    # flat: the worker is the process the dispatcher spawned.
     try:
         os.execvp(command[0], command)
     except OSError as err:

@@ -82,33 +82,26 @@ std::uint64_t parse_hex_u64(const std::string& token, const char* what) {
   }
 }
 
-// Parses a "<magic> <version>" handshake line and returns the peer's
-// version. `min_version`/`max_version` bound what this binary folds;
-// anything outside throws naming both sides so mixed-binary deployments
-// fail comprehensibly.
-std::uint64_t check_handshake(const std::string& line, const char* magic,
-                              const char* frame, int min_version,
-                              int max_version) {
+// Checks a "<magic> <version>" handshake line. Any other version throws
+// naming both sides, so mixed-binary deployments fail comprehensibly.
+void check_handshake(const std::string& line, const char* magic,
+                     const char* frame, int expected_version) {
   const std::vector<std::string> tokens = tokens_of(line);
   if (tokens.size() != 2 || tokens[0] != magic) {
     throw std::invalid_argument(std::string("dispatch protocol: expected '") +
-                                magic + " " + std::to_string(max_version) +
+                                magic + " " +
+                                std::to_string(expected_version) +
                                 "' handshake for the " + frame + ", got: '" +
                                 line + "'");
   }
   const std::uint64_t version = parse_u64(tokens[1], "protocol version");
-  if (version < static_cast<std::uint64_t>(min_version) ||
-      version > static_cast<std::uint64_t>(max_version)) {
+  if (version != static_cast<std::uint64_t>(expected_version)) {
     throw std::invalid_argument(
         std::string("dispatch protocol: peer speaks ") + frame + " v" +
         std::to_string(version) + ", this binary speaks v" +
-        std::to_string(min_version) +
-        (min_version == max_version
-             ? std::string()
-             : ".." + std::to_string(max_version)) +
+        std::to_string(expected_version) +
         " — deploy matching fairsched_exp builds on every host");
   }
-  return version;
 }
 
 void read_payload_bytes(std::istream& in, std::size_t size,
@@ -168,9 +161,8 @@ void write_dispatch_request(std::ostream& out,
 
 namespace {
 
-// The request fields after the handshake line; shared by the one-shot
-// reader and the session command loop (which consumes the handshake
-// itself to tell requests from goodbyes).
+// The request fields after the handshake line (the session command loop
+// consumes the handshake itself to tell requests from goodbyes).
 DispatchRequest read_dispatch_request_body(std::istream& in) {
   DispatchRequest request;
   std::vector<std::string> tokens =
@@ -242,20 +234,11 @@ DispatchRequest read_dispatch_request_body(std::istream& in) {
 
 }  // namespace
 
-DispatchRequest read_dispatch_request(std::istream& in) {
-  check_handshake(read_line(in, "the request handshake"), kRequestMagic,
-                  "request", kDispatchProtocolVersion,
-                  kDispatchProtocolVersion);
-  return read_dispatch_request_body(in);
-}
-
-namespace {
-
-void write_artifact_frame_impl(
-    std::ostream& out, int version, std::size_t shard,
-    std::size_t shard_count, const std::string& payload,
+void write_session_artifact_frame(
+    std::ostream& out, std::size_t shard, std::size_t shard_count,
+    const std::string& payload,
     const std::vector<std::pair<std::string, std::uint64_t>>& stats) {
-  out << kArtifactMagic << ' ' << version << '\n';
+  out << kArtifactMagic << ' ' << kSessionProtocolVersion << '\n';
   out << "shard " << shard << ' ' << shard_count << '\n';
   out << "payload " << payload.size() << '\n';
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
@@ -270,23 +253,6 @@ void write_artifact_frame_impl(
     out << "stat " << name << ' ' << value << '\n';
   }
   out << "end\n";
-}
-
-}  // namespace
-
-void write_artifact_frame(std::ostream& out, std::size_t shard,
-                          std::size_t shard_count,
-                          const std::string& payload) {
-  write_artifact_frame_impl(out, kDispatchProtocolVersion, shard,
-                            shard_count, payload, {});
-}
-
-void write_session_artifact_frame(
-    std::ostream& out, std::size_t shard, std::size_t shard_count,
-    const std::string& payload,
-    const std::vector<std::pair<std::string, std::uint64_t>>& stats) {
-  write_artifact_frame_impl(out, kSessionProtocolVersion, shard,
-                            shard_count, payload, stats);
 }
 
 ArtifactFrame parse_artifact_frame(const std::string& text,
@@ -307,10 +273,9 @@ ArtifactFrame parse_artifact_frame(const std::string& text,
   }
 
   std::istringstream in(text.substr(start));
+  check_handshake(read_line(in, "the artifact handshake"), kArtifactMagic,
+                  "artifact frame", kSessionProtocolVersion);
   ArtifactFrame frame;
-  frame.version = static_cast<int>(check_handshake(
-      read_line(in, "the artifact handshake"), kArtifactMagic,
-      "artifact frame", kDispatchProtocolVersion, kSessionProtocolVersion));
   std::vector<std::string> tokens = tokens_of(read_line(in, "'shard'"));
   if (tokens.size() != 3 || tokens[0] != "shard") {
     throw std::invalid_argument(
@@ -332,24 +297,19 @@ ArtifactFrame parse_artifact_frame(const std::string& text,
   const std::size_t size =
       static_cast<std::size_t>(parse_u64(tokens[1], "payload size"));
   read_payload_bytes(in, size, frame.payload, "artifact payload");
-  if (frame.version >= kSessionProtocolVersion) {
-    // v2 footer: zero or more `stat <name> <value>` lines before `end`.
-    for (;;) {
-      const std::string line = read_line(in, "'stat' or 'end'");
-      if (line == "end") return frame;
-      tokens = tokens_of(line);
-      if (tokens.size() != 3 || tokens[0] != "stat") {
-        throw std::invalid_argument(
-            "dispatch protocol: expected 'stat <name> <value>' or 'end' in "
-            "artifact frame from " +
-            source + ", got: '" + line + "'");
-      }
-      frame.stats.emplace_back(tokens[1],
-                               parse_u64(tokens[2], "stat value"));
+  // Footer: zero or more `stat <name> <value>` lines before `end`.
+  for (;;) {
+    const std::string line = read_line(in, "'stat' or 'end'");
+    if (line == "end") return frame;
+    tokens = tokens_of(line);
+    if (tokens.size() != 3 || tokens[0] != "stat") {
+      throw std::invalid_argument(
+          "dispatch protocol: expected 'stat <name> <value>' or 'end' in "
+          "artifact frame from " +
+          source + ", got: '" + line + "'");
     }
+    frame.stats.emplace_back(tokens[1], parse_u64(tokens[2], "stat value"));
   }
-  expect_end(in, "artifact frame");
-  return frame;
 }
 
 void write_session_hello(std::ostream& out, const SessionHello& hello) {
@@ -360,8 +320,7 @@ void write_session_hello(std::ostream& out, const SessionHello& hello) {
 
 SessionHello read_session_hello(std::istream& in) {
   check_handshake(read_line(in, "the session hello handshake"), kHelloMagic,
-                  "session hello", kSessionProtocolVersion,
-                  kSessionProtocolVersion);
+                  "session hello", kSessionProtocolVersion);
   SessionHello hello;
   const std::vector<std::string> tokens =
       tokens_of(read_line(in, "'threads'"));
@@ -388,12 +347,11 @@ SessionCommand read_session_command(std::istream& in,
   const std::vector<std::string> tokens = tokens_of(line);
   if (!tokens.empty() && tokens[0] == kGoodbyeMagic) {
     check_handshake(line, kGoodbyeMagic, "session goodbye",
-                    kSessionProtocolVersion, kSessionProtocolVersion);
+                    kSessionProtocolVersion);
     expect_end(in, "session goodbye");
     return SessionCommand::kGoodbye;
   }
-  check_handshake(line, kRequestMagic, "request", kDispatchProtocolVersion,
-                  kDispatchProtocolVersion);
+  check_handshake(line, kRequestMagic, "request", kDispatchProtocolVersion);
   *request = read_dispatch_request_body(in);
   return SessionCommand::kRequest;
 }

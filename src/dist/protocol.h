@@ -21,17 +21,16 @@
 // payloads (config content in, artifact JSON out), which are copied
 // verbatim.
 //
-// Protocol v2 adds *sessions* (docs/DISTRIBUTED.md): one long-lived
-// `shard-worker --session` process serves many requests over a single
-// stdin/stdout connection. The session worker opens with a hello frame
-// (carrying its hardware concurrency), then loops request -> artifact;
-// the dispatcher closes with a goodbye frame (or just EOF). Request
-// frames keep the v1 format — that is the v1-fallback seam: a skewed v1
-// worker parses the first request, answers with a v1 artifact frame and
-// exits, and the dispatcher detects the missing hello and falls back to
-// spawn-per-attempt for that worker. Session artifact frames use
-// version 2 and may carry a `stat <name> <value>` footer (cache
-// counters, task counts) between the payload and `end`.
+// Every shard runs over a protocol-v2 *session* (docs/DISTRIBUTED.md):
+// one long-lived `shard-worker --session` process serves many requests
+// over a single stdin/stdout connection. The session worker opens with a
+// hello frame (carrying its hardware concurrency), then loops request ->
+// artifact; the dispatcher closes with a goodbye frame (or just EOF).
+// Request frames keep their version-1 format. Artifact frames are
+// version 2 and may carry a `stat <name> <value>` footer (cache counters,
+// task counts) between the payload and `end`. A one-shot v1 worker
+// answers a request with a v1 artifact and no hello; the dispatcher
+// refuses it, naming both versions.
 
 #include <cstdint>
 #include <iosfwd>
@@ -41,8 +40,9 @@
 
 namespace fairsched::dist {
 
+// Request frames.
 inline constexpr int kDispatchProtocolVersion = 1;
-// Session frames (hello/goodbye) and artifact frames with a stat footer.
+// Session frames (hello/goodbye) and artifact frames.
 inline constexpr int kSessionProtocolVersion = 2;
 
 // Everything a shard-worker needs to reproduce one shard of a sweep.
@@ -70,39 +70,29 @@ struct DispatchRequest {
 // config name contains a newline (unrepresentable in the framing).
 void write_dispatch_request(std::ostream& out, const DispatchRequest& request);
 
-// Parses one request from `in`. Throws std::invalid_argument on a missing
-// or mis-versioned handshake, truncated input, or malformed fields.
-DispatchRequest read_dispatch_request(std::istream& in);
-
 // The worker's reply: its shard identity plus the artifact JSON bytes
 // (exp/sweep_artifact.h), length-prefixed so the payload is copied
-// verbatim whatever it contains. Version 2 frames (sessions) may carry a
-// footer of `stat <name> <value>` counters — per-request accounting the
-// dispatcher surfaces in per-worker summaries without parsing the
-// payload.
+// verbatim whatever it contains, and a footer of `stat <name> <value>`
+// counters — per-request accounting the dispatcher surfaces in
+// per-worker summaries without parsing the payload.
 struct ArtifactFrame {
-  int version = kDispatchProtocolVersion;
   std::size_t shard = 0;
   std::size_t shard_count = 1;
   std::string payload;  // shard artifact JSON
-  std::vector<std::pair<std::string, std::uint64_t>> stats;  // v2 footer
+  std::vector<std::pair<std::string, std::uint64_t>> stats;
 };
 
-void write_artifact_frame(std::ostream& out, std::size_t shard,
-                          std::size_t shard_count, const std::string& payload);
-
-// The v2 form: same frame plus the stat footer. Stat names must be
-// single whitespace-free tokens.
+// Stat names must be single whitespace-free tokens.
 void write_session_artifact_frame(
     std::ostream& out, std::size_t shard, std::size_t shard_count,
     const std::string& payload,
     const std::vector<std::pair<std::string, std::uint64_t>>& stats);
 
-// Parses the artifact frame out of a worker's captured stdout. Tolerates
-// noise *before* the handshake line (ssh banners, motd leakage) but is
-// strict from the handshake on. Accepts versions 1 and 2 (the dispatcher
-// folds both); throws std::invalid_argument when no frame is found, the
-// version is something else, or the payload is truncated.
+// Parses the artifact frame out of a worker's output. Tolerates noise
+// *before* the handshake line (ssh banners, motd leakage) but is strict
+// from the handshake on. Accepts only version 2; throws
+// std::invalid_argument when no frame is found, the version is something
+// else (naming both versions), or the payload is truncated.
 ArtifactFrame parse_artifact_frame(const std::string& text,
                                    const std::string& source);
 
@@ -125,7 +115,9 @@ void write_session_goodbye(std::ostream& out);
 
 // The worker side of a session: reads the next dispatcher -> worker
 // frame from `in`. kRequest fills *request; kGoodbye was a clean close;
-// kEof is the dispatcher vanishing before one. Malformed frames throw.
+// kEof is the dispatcher vanishing before one. Throws
+// std::invalid_argument on a mis-versioned handshake (naming both
+// versions), truncated input, or malformed fields.
 enum class SessionCommand { kRequest, kGoodbye, kEof };
 SessionCommand read_session_command(std::istream& in,
                                     DispatchRequest* request);

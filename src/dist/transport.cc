@@ -34,6 +34,7 @@ void set_nonblocking(int fd) {
 }
 
 std::string exit_description(int status) {
+  if (status < 0) return "exit status unavailable";
   if (WIFEXITED(status)) {
     return "exit code " + std::to_string(WEXITSTATUS(status));
   }
@@ -52,13 +53,24 @@ std::string argv_description(const std::vector<std::string>& argv) {
   return out;
 }
 
-// fork/exec with stdin/stdout pipes (stderr inherited). Returns the pid
+// The single fork/exec site: stdin/stdout pipes, stderr inherited, and a
+// process group of its own so every kill reaches wrapper descendants
+// (`sh -c`, ssh command scripts) too. Returns the pid (also the group id)
 // and the dispatcher-side fds (both nonblocking), or -1 on fork failure.
 pid_t spawn_worker(const std::vector<std::string>& argv, int* in_fd,
                    int* out_fd) {
   int in_pipe[2];   // dispatcher -> worker stdin
   int out_pipe[2];  // worker stdout -> dispatcher
-  if (::pipe(in_pipe) < 0 || ::pipe(out_pipe) < 0) {
+  // Close-on-exec: a worker spawned concurrently by another dispatcher
+  // thread must not inherit this worker's pipe ends, or their EOFs would
+  // wait for that unrelated worker to exit. dup2 clears the flag on the
+  // child's own stdin/stdout.
+  if (::pipe2(in_pipe, O_CLOEXEC) < 0) {
+    throw std::runtime_error("spawn_worker: pipe() failed");
+  }
+  if (::pipe2(out_pipe, O_CLOEXEC) < 0) {
+    ::close(in_pipe[0]);
+    ::close(in_pipe[1]);
     throw std::runtime_error("spawn_worker: pipe() failed");
   }
   std::vector<std::string> args = argv;
@@ -76,16 +88,16 @@ pid_t spawn_worker(const std::vector<std::string>& argv, int* in_fd,
     return -1;
   }
   if (pid == 0) {
+    ::setpgid(0, 0);
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
     ::execvp(exec_argv[0], exec_argv.data());
     std::perror("execvp");
     ::_exit(127);
   }
+  // Both sides set the group, so a kill(-pid) right after fork cannot
+  // race the child's own setpgid.
+  ::setpgid(pid, pid);
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   *in_fd = in_pipe[1];
@@ -93,6 +105,27 @@ pid_t spawn_worker(const std::vector<std::string>& argv, int* in_fd,
   set_nonblocking(*in_fd);
   set_nonblocking(*out_fd);
   return pid;
+}
+
+// Reaps `pid`, the leader of its own process group (spawn_worker): waits
+// up to `grace` for it to exit on its own, then SIGKILLs the whole group.
+// The group is killed even when the leader exited cleanly, so no wrapper
+// descendant outlives its worker. Returns the leader's wait status, or -1
+// when it could not be collected.
+int reap_worker_group(pid_t pid, std::chrono::milliseconds grace) {
+  const auto deadline = std::chrono::steady_clock::now() + grace;
+  int status = 0;
+  pid_t reaped = ::waitpid(pid, &status, WNOHANG);
+  while (reaped == 0 && std::chrono::steady_clock::now() < deadline) {
+    ::usleep(1000);
+    reaped = ::waitpid(pid, &status, WNOHANG);
+  }
+  ::kill(-pid, SIGKILL);
+  if (reaped == 0) {
+    while ((reaped = ::waitpid(pid, &status, 0)) < 0 && errno == EINTR) {
+    }
+  }
+  return reaped == pid ? status : -1;
 }
 
 // Offset of the first session frame in `buffer`: the earliest position
@@ -112,225 +145,25 @@ std::size_t first_frame_offset(const std::string& buffer) {
 
 }  // namespace
 
-WorkerTransport::Outcome run_worker_process(
-    const std::vector<std::string>& argv, const DispatchRequest& request,
-    std::chrono::milliseconds timeout) {
-  using Outcome = WorkerTransport::Outcome;
-  if (argv.empty()) {
-    throw std::invalid_argument("run_worker_process: empty argv");
+std::vector<std::string> session_worker_argv(
+    const std::string& program, const std::vector<std::string>& ssh_command,
+    const std::string& host) {
+  std::vector<std::string> argv;
+  if (!host.empty()) {
+    argv = ssh_command;
+    argv.push_back(host);
   }
-  ignore_sigpipe_once();
-
-  std::ostringstream request_stream;
-  write_dispatch_request(request_stream, request);
-  const std::string request_bytes = request_stream.str();
-
-  int in_pipe[2];   // dispatcher -> worker stdin
-  int out_pipe[2];  // worker stdout -> dispatcher
-  if (::pipe(in_pipe) < 0 || ::pipe(out_pipe) < 0) {
-    throw std::runtime_error("run_worker_process: pipe() failed");
-  }
-
-  std::vector<std::string> args = argv;
-  std::vector<char*> exec_argv;
-  exec_argv.reserve(args.size() + 1);
-  for (std::string& arg : args) exec_argv.push_back(arg.data());
-  exec_argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    throw std::runtime_error("run_worker_process: fork() failed");
-  }
-  if (pid == 0) {
-    ::dup2(in_pipe[0], STDIN_FILENO);
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    ::execvp(exec_argv[0], exec_argv.data());
-    std::perror("execvp");
-    ::_exit(127);
-  }
-  ::close(in_pipe[0]);
-  ::close(out_pipe[1]);
-  const int write_fd = in_pipe[1];
-  const int read_fd = out_pipe[0];
-  set_nonblocking(write_fd);
-  set_nonblocking(read_fd);
-
-  const auto started = std::chrono::steady_clock::now();
-  const bool bounded = timeout.count() > 0;
-  const auto deadline = started + timeout;
-
-  // One poll loop drives both directions so a worker that starts writing
-  // before it has drained its stdin cannot deadlock against us.
-  std::string output;
-  std::size_t written = 0;
-  bool write_open = true;
-  bool read_open = true;
-  bool timed_out = false;
-  char buffer[65536];
-  while (read_open) {
-    if (write_open && written == request_bytes.size()) {
-      ::close(write_fd);
-      write_open = false;
-    }
-    struct pollfd fds[2];
-    nfds_t nfds = 0;
-    fds[nfds].fd = read_fd;
-    fds[nfds].events = POLLIN;
-    ++nfds;
-    if (write_open) {
-      fds[nfds].fd = write_fd;
-      fds[nfds].events = POLLOUT;
-      ++nfds;
-    }
-    int wait_ms = -1;
-    if (bounded) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline -
-                                     std::chrono::steady_clock::now());
-      wait_ms = static_cast<int>(std::max<std::int64_t>(0,
-                                                        remaining.count()));
-    }
-    const int ready = ::poll(fds, nfds, wait_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) {  // deadline expired
-      timed_out = true;
-      break;
-    }
-    if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
-      const ssize_t n = ::read(read_fd, buffer, sizeof(buffer));
-      if (n > 0) {
-        output.append(buffer, static_cast<std::size_t>(n));
-      } else if (n == 0 || (n < 0 && errno != EAGAIN && errno != EINTR)) {
-        read_open = false;
-      }
-    }
-    if (write_open && nfds > 1 &&
-        (fds[1].revents & (POLLOUT | POLLHUP | POLLERR))) {
-      const ssize_t n = ::write(write_fd, request_bytes.data() + written,
-                                request_bytes.size() - written);
-      if (n > 0) {
-        written += static_cast<std::size_t>(n);
-      } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
-        // Worker closed stdin early (possibly dying); its exit status or
-        // missing frame reports the failure.
-        ::close(write_fd);
-        write_open = false;
-      }
-    }
-  }
-  if (write_open) ::close(write_fd);
-  ::close(read_fd);
-
-  const std::string source =
-      "worker process `" + argv_description(argv) + "`";
-  if (timed_out) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    return Outcome{Outcome::Status::kTimeout, "",
-                   source + " exceeded the " +
-                       std::to_string(timeout.count()) +
-                       "ms shard timeout and was killed"};
-  }
-
-  int status = 0;
-  if (::waitpid(pid, &status, 0) < 0) {
-    return Outcome{Outcome::Status::kFailed, "",
-                   source + ": waitpid failed"};
-  }
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    return Outcome{Outcome::Status::kFailed, "",
-                   source + " failed (" + exit_description(status) + ")"};
-  }
-
-  try {
-    ArtifactFrame frame = parse_artifact_frame(output, source);
-    if (frame.shard != request.shard ||
-        frame.shard_count != request.shard_count) {
-      return Outcome{Outcome::Status::kFailed, "",
-                     source + " returned shard " +
-                         std::to_string(frame.shard) + "/" +
-                         std::to_string(frame.shard_count) +
-                         " but was asked for " +
-                         std::to_string(request.shard) + "/" +
-                         std::to_string(request.shard_count)};
-    }
-    return Outcome{Outcome::Status::kArtifact, std::move(frame.payload),
-                   ""};
-  } catch (const std::exception& e) {
-    return Outcome{Outcome::Status::kFailed, "", e.what()};
-  }
+  argv.insert(argv.end(), {program, "shard-worker", "--session"});
+  return argv;
 }
 
-LocalProcessTransport::LocalProcessTransport(std::string name,
-                                             std::string program)
-    : name_(std::move(name)), program_(std::move(program)) {
-  if (program_.empty()) {
-    throw std::invalid_argument(
-        "LocalProcessTransport: empty program path");
-  }
-}
-
-WorkerTransport::Outcome LocalProcessTransport::run_shard(
-    const DispatchRequest& request, std::chrono::milliseconds timeout) {
-  ++attempts_;
-  return run_worker_process({program_, "shard-worker"}, request, timeout);
-}
-
-std::string LocalProcessTransport::summary() const {
-  return std::to_string(attempts_) + " attempt(s), spawn-per-attempt";
-}
-
-SshTransport::SshTransport(std::string name,
-                           std::vector<std::string> ssh_command,
-                           std::string host, std::string remote_program)
-    : name_(std::move(name)) {
-  if (ssh_command.empty()) {
-    throw std::invalid_argument("SshTransport: empty ssh command");
-  }
-  if (host.empty()) {
-    throw std::invalid_argument("SshTransport: empty host");
-  }
-  if (remote_program.empty()) {
-    throw std::invalid_argument("SshTransport: empty remote program path");
-  }
-  argv_ = std::move(ssh_command);
-  argv_.push_back(std::move(host));
-  // ssh joins the remaining tokens with spaces for the remote shell, so
-  // remote program paths must not contain shell metacharacters; the fake
-  // ssh harness receives them as separate argv entries either way.
-  argv_.push_back(std::move(remote_program));
-  argv_.push_back("shard-worker");
-}
-
-WorkerTransport::Outcome SshTransport::run_shard(
-    const DispatchRequest& request, std::chrono::milliseconds timeout) {
-  ++attempts_;
-  return run_worker_process(argv_, request, timeout);
-}
-
-std::string SshTransport::summary() const {
-  return std::to_string(attempts_) + " attempt(s), spawn-per-attempt";
-}
-
-PersistentTransport::PersistentTransport(
-    std::string name, std::vector<std::string> session_argv,
-    std::vector<std::string> fallback_argv, DispatchLog* log)
+PersistentTransport::PersistentTransport(std::string name,
+                                         std::vector<std::string> session_argv,
+                                         DispatchLog* log)
     : name_(std::move(name)),
       session_argv_(std::move(session_argv)),
-      fallback_argv_(std::move(fallback_argv)),
       log_(log) {
-  if (session_argv_.empty() || fallback_argv_.empty()) {
+  if (session_argv_.empty() || session_argv_.front().empty()) {
     throw std::invalid_argument("PersistentTransport: empty argv");
   }
 }
@@ -352,16 +185,7 @@ PersistentTransport::~PersistentTransport() {
     ::close(out_fd_);
     out_fd_ = -1;
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (::waitpid(pid_, nullptr, WNOHANG) == 0) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-      break;
-    }
-    ::usleep(10 * 1000);
-  }
+  reap_worker_group(pid_, std::chrono::seconds(2));
   pid_ = -1;
 }
 
@@ -389,15 +213,18 @@ bool PersistentTransport::open_session_locked(std::string* error) {
   return true;
 }
 
-void PersistentTransport::teardown_locked(const char* reason,
-                                          bool kill_child) {
-  if (pid_ < 0) return;
+int PersistentTransport::teardown_locked(const char* reason, bool kill_child) {
+  if (pid_ < 0) return 0;
   if (in_fd_ >= 0) ::close(in_fd_);
   if (out_fd_ >= 0) ::close(out_fd_);
   in_fd_ = -1;
   out_fd_ = -1;
-  if (kill_child) ::kill(pid_, SIGKILL);
-  ::waitpid(pid_, nullptr, 0);
+  // A session that hung up on its own is reaped before the group kill, so
+  // the failure can name its exit code; one that closed its stdout but
+  // lingers is killed after a short grace.
+  const int status =
+      reap_worker_group(pid_, kill_child ? std::chrono::milliseconds(0)
+                                         : std::chrono::seconds(1));
   if (log_) {
     log_->event("session-close", {DispatchLog::str("worker", name_),
                                   DispatchLog::str("reason", reason)});
@@ -405,22 +232,13 @@ void PersistentTransport::teardown_locked(const char* reason,
   pid_ = -1;
   buffer_.clear();
   hello_seen_ = false;
+  return status;
 }
 
 WorkerTransport::Outcome PersistentTransport::run_shard(
     const DispatchRequest& request, std::chrono::milliseconds timeout) {
   using Outcome = WorkerTransport::Outcome;
   ignore_sigpipe_once();
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (v1_peer_) {
-      ++stats_.fallback;
-    }
-  }
-  if (session_stats().v1_peer) {
-    return run_worker_process(fallback_argv_, request, timeout);
-  }
 
   const auto started = std::chrono::steady_clock::now();
   const bool bounded = timeout.count() > 0;
@@ -448,12 +266,15 @@ WorkerTransport::Outcome PersistentTransport::run_shard(
     in_fd = in_fd_;
     out_fd = out_fd_;
   }
-  // Clears inflight_ on every return path so cancel_inflight never kills
-  // an idle session.
-  auto finish = [this](Outcome outcome) {
+  // Ends the attempt without an artifact: tears the session down (the
+  // child's process group is killed) and clears inflight_, so
+  // cancel_inflight never kills an idle session.
+  auto abort_attempt = [this](const char* reason, Outcome::Status status,
+                              std::string detail) {
     std::lock_guard<std::mutex> lock(mu_);
+    teardown_locked(reason, true);
     inflight_ = false;
-    return outcome;
+    return Outcome{status, "", std::move(detail)};
   };
 
   std::ostringstream request_stream;
@@ -484,11 +305,8 @@ WorkerTransport::Outcome PersistentTransport::run_shard(
       try {
         complete = scan_session_frame(buffer_, 0, &extent);
       } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(mu_);
-        teardown_locked("malformed frame", true);
-        inflight_ = false;
-        return Outcome{Outcome::Status::kFailed, "",
-                       source + ": " + e.what()};
+        return abort_attempt("malformed frame", Outcome::Status::kFailed,
+                             source + ": " + e.what());
       }
       if (!complete) break;
       const std::string frame_text = buffer_.substr(0, extent);
@@ -512,81 +330,67 @@ WorkerTransport::Outcome PersistentTransport::run_shard(
                          DispatchLog::num("opens", opens)});
           }
         } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(mu_);
-          teardown_locked("bad hello", true);
-          inflight_ = false;
-          return Outcome{Outcome::Status::kFailed, "",
-                         source + ": " + e.what()};
+          return abort_attempt("bad hello", Outcome::Status::kFailed,
+                               source + ": " + e.what());
         }
         continue;
       }
 
-      try {
-        ArtifactFrame frame = parse_artifact_frame(frame_text, source);
-        bool v1_detected = false;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!hello_seen_) {
-            // Binary skew: a v1 worker parses the request but never sends
-            // a session hello, answers one artifact, and exits. Use the
-            // artifact; later attempts spawn per attempt.
-            v1_peer_ = true;
-            stats_.v1_peer = true;
-            ++stats_.fallback;
-            v1_detected = true;
-          } else {
-            ++stats_.served;
-            for (const auto& [stat_name, value] : frame.stats) {
-              if (stat_name == "cache_hits") stats_.cache_hits += value;
-              if (stat_name == "cache_misses") stats_.cache_misses += value;
-              if (stat_name == "disk_hits") stats_.disk_hits += value;
-              if (stat_name == "replayed") stats_.replayed += value;
-            }
-          }
-        }
-        if (v1_detected) {
-          if (log_) {
-            log_->event("session-v1-fallback",
-                        {DispatchLog::str("worker", name_)});
-          }
-          std::lock_guard<std::mutex> lock(mu_);
-          teardown_locked("v1 peer (no session hello)", false);
-        }
-        if (frame.shard != request.shard ||
-            frame.shard_count != request.shard_count) {
-          std::lock_guard<std::mutex> lock(mu_);
-          teardown_locked("shard echo mismatch", true);
-          inflight_ = false;
-          return Outcome{Outcome::Status::kFailed, "",
-                         source + " returned shard " +
-                             std::to_string(frame.shard) + "/" +
-                             std::to_string(frame.shard_count) +
-                             " but was asked for " +
-                             std::to_string(request.shard) + "/" +
-                             std::to_string(request.shard_count)};
-        }
-        return finish(Outcome{Outcome::Status::kArtifact,
-                              std::move(frame.payload), ""});
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(mu_);
-        teardown_locked("bad artifact frame", true);
-        inflight_ = false;
-        return Outcome{Outcome::Status::kFailed, "",
-                       source + ": " + e.what()};
+      if (hello_pending) {
+        // Binary skew: a one-shot v1 worker parses the request, answers
+        // with an artifact frame and exits, never opening a session.
+        return abort_attempt(
+            "no session hello", Outcome::Status::kFailed,
+            source +
+                ": the peer answered with an artifact frame and no session "
+                "hello — it speaks one-shot protocol v" +
+                std::to_string(kDispatchProtocolVersion) +
+                ", this binary speaks only v" +
+                std::to_string(kSessionProtocolVersion) +
+                " sessions — deploy matching fairsched_exp builds on every "
+                "host");
       }
+      ArtifactFrame frame;
+      try {
+        frame = parse_artifact_frame(frame_text, source);
+      } catch (const std::exception& e) {
+        return abort_attempt("bad artifact frame", Outcome::Status::kFailed,
+                             source + ": " + e.what());
+      }
+      if (frame.shard != request.shard ||
+          frame.shard_count != request.shard_count) {
+        return abort_attempt(
+            "shard echo mismatch", Outcome::Status::kFailed,
+            source + " returned shard " + std::to_string(frame.shard) + "/" +
+                std::to_string(frame.shard_count) + " but was asked for " +
+                std::to_string(request.shard) + "/" +
+                std::to_string(request.shard_count));
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.served;
+      for (const auto& [stat_name, value] : frame.stats) {
+        if (stat_name == "cache_hits") stats_.cache_hits += value;
+        if (stat_name == "cache_misses") stats_.cache_misses += value;
+        if (stat_name == "disk_hits") stats_.disk_hits += value;
+        if (stat_name == "replayed") stats_.replayed += value;
+      }
+      inflight_ = false;
+      return Outcome{Outcome::Status::kArtifact, std::move(frame.payload), ""};
     }
 
     if (eof) {
       std::lock_guard<std::mutex> lock(mu_);
       const bool canceled = cancel_requested_;
-      teardown_locked(canceled ? "canceled" : "eof", true);
+      const int status = teardown_locked(canceled ? "canceled" : "eof",
+                                         canceled);
       inflight_ = false;
       if (canceled) {
         return Outcome{Outcome::Status::kFailed, "",
                        source + " canceled (losing speculative duplicate)"};
       }
       return Outcome{Outcome::Status::kFailed, "",
-                     source + " session ended before an artifact frame"};
+                     source + " session ended before an artifact frame (" +
+                         exit_description(status) + ")"};
     }
 
     struct pollfd fds[2];
@@ -611,22 +415,16 @@ WorkerTransport::Outcome PersistentTransport::run_shard(
     const int ready = ::poll(fds, nfds, wait_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
-      std::lock_guard<std::mutex> lock(mu_);
-      teardown_locked("poll failed", true);
-      inflight_ = false;
-      return Outcome{Outcome::Status::kFailed, "",
-                     source + ": poll failed (" +
-                         std::string(std::strerror(errno)) + ")"};
+      return abort_attempt("poll failed", Outcome::Status::kFailed,
+                           source + ": poll failed (" +
+                               std::string(std::strerror(errno)) + ")");
     }
     if (ready == 0) {  // deadline expired
-      std::lock_guard<std::mutex> lock(mu_);
-      teardown_locked("shard timeout", true);
-      inflight_ = false;
-      return Outcome{Outcome::Status::kTimeout, "",
-                     source + " exceeded the " +
-                         std::to_string(timeout.count()) +
-                         "ms shard timeout; session killed (respawns on "
-                         "the next attempt)"};
+      return abort_attempt(
+          "shard timeout", Outcome::Status::kTimeout,
+          source + " exceeded the " + std::to_string(timeout.count()) +
+              "ms shard timeout; session killed (respawns on the next "
+              "attempt)");
     }
     if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
       const ssize_t n = ::read(out_fd, chunk, sizeof(chunk));
@@ -657,18 +455,13 @@ void PersistentTransport::cancel_inflight() {
   std::lock_guard<std::mutex> lock(mu_);
   if (inflight_ && pid_ > 0) {
     cancel_requested_ = true;
-    ::kill(pid_, SIGKILL);
+    ::kill(-pid_, SIGKILL);
   }
 }
 
 std::string PersistentTransport::summary() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
-  if (stats_.v1_peer) {
-    out << "v1 peer (no session support): " << stats_.fallback
-        << " shard(s) spawn-per-attempt";
-    return out.str();
-  }
   out << stats_.served << " shard(s) over " << stats_.opens
       << " session(s), cache " << stats_.cache_hits << " hit(s) / "
       << stats_.cache_misses << " miss(es)";

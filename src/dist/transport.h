@@ -2,24 +2,20 @@
 
 // The worker-transport seam of the distributed dispatcher.
 //
-// A WorkerTransport runs one attempt of one shard somewhere — a forked
-// local process, a remote host over ssh, or (in tests) an in-memory
-// double that injects failures — and reports what happened as an Outcome
-// instead of throwing: per-attempt failures are routine events the
-// Dispatcher retries, not exceptions. The process-backed transports share
-// run_worker_process, which speaks the dist/protocol.h framing over the
-// child's stdin/stdout, enforces the per-attempt deadline with SIGKILL,
-// and inherits stderr so worker breadcrumbs land in the dispatcher's own
-// stderr stream.
+// A WorkerTransport runs one attempt of one shard somewhere — a session
+// worker on this host, one on a remote host over ssh, or (in tests) an
+// in-memory double that injects failures — and reports what happened as
+// an Outcome instead of throwing: per-attempt failures are routine events
+// the Dispatcher retries, not exceptions.
 //
-// PersistentTransport is the protocol-v2 session path
-// (--persistent-workers): one long-lived `shard-worker --session` child
-// serves every run_shard call over a single connection, keeping its
-// in-memory WorkloadCache and parsed plan warm across shards. A timeout
-// or protocol error tears the session down (SIGKILL) and the next
-// run_shard respawns it; a peer that answers the first request with a v1
-// artifact instead of a session hello is a skewed binary, and the
-// transport falls back to spawn-per-attempt for the rest of the run.
+// PersistentTransport is the one process-backed transport. Every shard
+// that runs outside the dispatcher's process runs over a protocol-v2
+// session: one long-lived `shard-worker --session` child (possibly
+// ssh-wrapped) serves every run_shard call over a single connection,
+// keeping its in-memory WorkloadCache and parsed plan warm across shards.
+// A timeout or protocol error tears the session down and the next
+// run_shard respawns it. Each child runs in its own process group, so a
+// kill reaches wrapper descendants (`sh -c`, ssh command scripts) too.
 
 #include <sys/types.h>
 
@@ -90,70 +86,34 @@ class WorkerTransport {
   std::size_t thread_override_ = kNoThreadOverride;
 };
 
-// Spawns `argv`, writes `request` to its stdin, captures stdout until EOF
-// or deadline (SIGKILL on expiry), and parses the artifact frame — also
-// checking the frame echoes the requested shard. Exposed for transports
-// and for direct testing against plain commands.
-WorkerTransport::Outcome run_worker_process(
-    const std::vector<std::string>& argv, const DispatchRequest& request,
-    std::chrono::milliseconds timeout);
-
-// fork/exec of `program shard-worker` on this host — the transport behind
-// --workers=local and the executor-level --processes path.
-class LocalProcessTransport final : public WorkerTransport {
- public:
-  LocalProcessTransport(std::string name, std::string program);
-
-  const std::string& name() const override { return name_; }
-  Outcome run_shard(const DispatchRequest& request,
-                    std::chrono::milliseconds timeout) override;
-  std::string summary() const override;
-
- private:
-  std::string name_;
-  std::string program_;
-  std::size_t attempts_ = 0;  // touched only by the owning worker thread
-};
-
-// Spawns `remote_program shard-worker` on `host` through an ssh-style
-// command (argv = ssh_command + {host, remote_program, "shard-worker"}),
-// streaming the request in and the artifact frame back over the ssh
-// channel. `ssh_command` is overridable (--ssh-cmd) so CI substitutes the
-// hermetic scripts/fake_ssh.py harness.
-class SshTransport final : public WorkerTransport {
- public:
-  SshTransport(std::string name, std::vector<std::string> ssh_command,
-               std::string host, std::string remote_program);
-
-  const std::string& name() const override { return name_; }
-  Outcome run_shard(const DispatchRequest& request,
-                    std::chrono::milliseconds timeout) override;
-  std::string summary() const override;
-
- private:
-  std::string name_;
-  std::vector<std::string> argv_;
-  std::size_t attempts_ = 0;  // touched only by the owning worker thread
-};
+// The argv that starts a session worker: `program shard-worker --session`,
+// prefixed by `ssh_command host` for a remote worker (empty `host` = this
+// host). ssh joins the remote tokens with spaces for the remote shell, so
+// remote program paths must not contain shell metacharacters.
+std::vector<std::string> session_worker_argv(
+    const std::string& program, const std::vector<std::string>& ssh_command,
+    const std::string& host);
 
 // One long-lived session worker (protocol v2). `session_argv` spawns the
-// resident peer (`program shard-worker --session`, possibly ssh-wrapped);
-// `fallback_argv` is the spawn-per-attempt command used after a v1 peer
-// is detected. Lifecycle:
+// resident peer (`program shard-worker --session`, possibly ssh-wrapped —
+// see session_worker_argv). Lifecycle:
 //
 //   * the session is opened lazily by the first run_shard and reused by
 //     every later one; each request is written to the live child and one
 //     hello/artifact stream is read back incrementally;
-//   * timeout, EOF, or a protocol error tears the session down (SIGKILL)
-//     and the attempt reports kTimeout/kFailed — the dispatcher requeues
-//     the shard, and the next run_shard (any shard) respawns a fresh
-//     session. Remaining shards are never lost with the session;
-//   * a first response with no session hello marks the peer v1
-//     (binary skew): that artifact is still used, and every later attempt
-//     runs through run_worker_process(fallback_argv) instead;
-//   * cancel_inflight kills the live child, so a losing speculative
-//     duplicate frees its worker immediately (cost: the next shard on
-//     this worker starts a cold session);
+//   * timeout, EOF, or a protocol error tears the session down (SIGKILL
+//     to the child's process group) and the attempt reports
+//     kTimeout/kFailed — the dispatcher requeues the shard, and the next
+//     run_shard (any shard) respawns a fresh session. Remaining shards are
+//     never lost with the session. A session that ends before its
+//     artifact is reaped first, so the failure names the child's exit
+//     code or signal;
+//   * an artifact frame with no session hello before it is a one-shot
+//     protocol-v1 peer (binary skew): the attempt fails with a message
+//     naming both protocol versions;
+//   * cancel_inflight kills the live child's process group, so a losing
+//     speculative duplicate frees its worker immediately (cost: the next
+//     shard on this worker starts a cold session);
 //   * the destructor sends a goodbye frame and closes the child's stdin,
 //     escalating to SIGKILL when the child does not exit promptly.
 //
@@ -164,9 +124,7 @@ class PersistentTransport final : public WorkerTransport {
   struct SessionStats {
     std::size_t opens = 0;     // sessions spawned, respawns included
     std::size_t served = 0;    // artifacts received over sessions
-    std::size_t fallback = 0;  // spawn-per-attempt runs after v1 fallback
     std::size_t hello_threads = 0;  // worker-reported hardware concurrency
-    bool v1_peer = false;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t disk_hits = 0;
@@ -176,7 +134,6 @@ class PersistentTransport final : public WorkerTransport {
   // `log` is optional (session-open/close events) and must outlive the
   // transport when given.
   PersistentTransport(std::string name, std::vector<std::string> session_argv,
-                      std::vector<std::string> fallback_argv,
                       DispatchLog* log = nullptr);
   ~PersistentTransport() override;
 
@@ -191,13 +148,14 @@ class PersistentTransport final : public WorkerTransport {
   std::size_t hello_threads() const;
 
  private:
-  // All require mu_ held.
+  // All require mu_ held. teardown_locked returns the child's wait
+  // status: with `kill_child` the whole process group is killed at once,
+  // otherwise the child gets a short grace period to exit on its own.
   bool open_session_locked(std::string* error);
-  void teardown_locked(const char* reason, bool kill_child);
+  int teardown_locked(const char* reason, bool kill_child);
 
   std::string name_;
   std::vector<std::string> session_argv_;
-  std::vector<std::string> fallback_argv_;
   DispatchLog* log_;
 
   mutable std::mutex mu_;  // guards everything below (vs cancel_inflight)
@@ -208,7 +166,6 @@ class PersistentTransport final : public WorkerTransport {
   bool hello_seen_ = false;  // this session produced its hello frame
   bool inflight_ = false;
   bool cancel_requested_ = false;
-  bool v1_peer_ = false;
   SessionStats stats_;
 };
 

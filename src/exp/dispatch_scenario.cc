@@ -3,11 +3,12 @@
 //
 // dispatch builds the sweep exactly like the single-host subcommand
 // would, then hands the whole-run plan to dist::Dispatcher with one
-// transport per --workers/--hosts entry. The request each worker receives
-// carries the original argv (minus orchestration/reporting/dispatch
-// flags) so the worker rebuilds the identical spec; a --config file's
-// bytes ride along in the request, so remote hosts need no shared
-// filesystem. shard-worker is the other end of that protocol.
+// session transport per --workers/--hosts entry. The request each worker
+// receives carries the original argv (minus orchestration/reporting/
+// dispatch flags) so the worker rebuilds the identical spec; a --config
+// file's bytes ride along in the request, so remote hosts need no shared
+// filesystem. shard-worker is the other end of that protocol. The same
+// transport and request builders serve --processes=N (exp/scenarios.h).
 
 #include <unistd.h>
 
@@ -41,13 +42,32 @@ namespace fairsched::exp {
 
 namespace {
 
-// One --workers/--hosts entry, parsed but not yet constructed: dry runs
-// need the worker names without exec-able transports.
-struct WorkerSpec {
-  bool local = true;
-  std::string host;  // ssh target when !local
-  std::string name;  // display name ("local#0", "ssh:hostb#2")
-};
+// Drops `--name=value`, `--name value` and bare `--name` occurrences of
+// the given flags from a raw argv tail.
+std::vector<std::string> drop_flag_tokens(
+    const std::vector<std::string>& args,
+    const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& token = args[i];
+    bool dropped = false;
+    for (const std::string& name : names) {
+      const std::string bare = "--" + name;
+      if (token == bare) {
+        // `--name value` consumes the value token too (mirrors Flags).
+        if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) ++i;
+        dropped = true;
+        break;
+      }
+      if (token.rfind(bare + "=", 0) == 0) {
+        dropped = true;
+        break;
+      }
+    }
+    if (!dropped) out.push_back(token);
+  }
+  return out;
+}
 
 void append_worker_entry(const std::string& entry, const std::string& where,
                          std::vector<WorkerSpec>& specs) {
@@ -86,20 +106,18 @@ void append_worker_entry(const std::string& entry, const std::string& where,
   }
 }
 
-// --workers entries first, then the --hosts file (one entry per line,
-// `#` comments); defaults to local*2 when both are empty. Names get a
-// global #index suffix so duplicated entries stay distinguishable in the
-// dispatch log.
-std::vector<WorkerSpec> parse_worker_specs(const ScenarioOptions& options) {
+}  // namespace
+
+std::vector<WorkerSpec> parse_worker_specs(const std::string& workers,
+                                           const std::string& hosts_path) {
   std::vector<WorkerSpec> specs;
-  for (const std::string& entry : split_and_trim(options.workers_spec, ',')) {
+  for (const std::string& entry : split_and_trim(workers, ',')) {
     append_worker_entry(entry, "--workers", specs);
   }
-  if (!options.hosts_path.empty()) {
-    std::ifstream hosts(options.hosts_path);
+  if (!hosts_path.empty()) {
+    std::ifstream hosts(hosts_path);
     if (!hosts) {
-      throw std::invalid_argument("cannot open --hosts file: " +
-                                  options.hosts_path);
+      throw std::invalid_argument("cannot open --hosts file: " + hosts_path);
     }
     std::string line;
     while (std::getline(hosts, line)) {
@@ -107,7 +125,7 @@ std::vector<WorkerSpec> parse_worker_specs(const ScenarioOptions& options) {
       if (comment != std::string::npos) line = line.substr(0, comment);
       line = trim_whitespace(line);
       if (line.empty()) continue;
-      append_worker_entry(line, options.hosts_path, specs);
+      append_worker_entry(line, hosts_path, specs);
     }
   }
   if (specs.empty()) {
@@ -126,8 +144,8 @@ std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
     dist::DispatchLog* log) {
   if (options.program.empty()) {
     throw std::invalid_argument(
-        "dispatch needs the harness's own binary path for its workers; "
-        "run through fairsched_exp");
+        "out-of-process workers need the harness's own binary path; run "
+        "through fairsched_exp");
   }
   const std::vector<std::string> ssh_command =
       split_and_trim(options.ssh_command, ' ');
@@ -137,31 +155,12 @@ std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
   std::vector<std::unique_ptr<dist::WorkerTransport>> transports;
   transports.reserve(specs.size());
   for (const WorkerSpec& spec : specs) {
-    std::unique_ptr<dist::WorkerTransport> transport;
-    if (options.persistent_workers) {
-      std::vector<std::string> session_argv;
-      std::vector<std::string> fallback_argv;
-      if (spec.local) {
-        session_argv = {options.program, "shard-worker", "--session"};
-        fallback_argv = {options.program, "shard-worker"};
-      } else {
-        session_argv = ssh_command;
-        session_argv.insert(session_argv.end(),
-                            {spec.host, remote_program, "shard-worker",
-                             "--session"});
-        fallback_argv = ssh_command;
-        fallback_argv.insert(fallback_argv.end(),
-                             {spec.host, remote_program, "shard-worker"});
-      }
-      transport = std::make_unique<dist::PersistentTransport>(
-          spec.name, std::move(session_argv), std::move(fallback_argv), log);
-    } else if (spec.local) {
-      transport = std::make_unique<dist::LocalProcessTransport>(
-          spec.name, options.program);
-    } else {
-      transport = std::make_unique<dist::SshTransport>(
-          spec.name, ssh_command, spec.host, remote_program);
-    }
+    auto transport = std::make_unique<dist::PersistentTransport>(
+        spec.name,
+        dist::session_worker_argv(spec.local ? options.program
+                                             : remote_program,
+                                  ssh_command, spec.local ? "" : spec.host),
+        log);
     if (!spec.local && !options.worker_threads_explicit) {
       // Remote thread-budget fix: without --worker-threads the request
       // would carry a share of the *local* host's budget; send 0 instead,
@@ -174,12 +173,8 @@ std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
   return transports;
 }
 
-// The request every attempt shares: the original argv with the
-// orchestration, reporting and dispatch-layer flags stripped (each is
-// either re-derived per attempt or meaningless on a worker), the
-// subcommand swapped for --sweep's scenario, and the --config file's
-// bytes embedded for hosts without the file.
 dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
+                                             const std::string& scenario,
                                              const SweepPlan& plan,
                                              std::size_t worker_count) {
   dist::DispatchRequest request;
@@ -187,17 +182,18 @@ dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
   if (options.worker_threads) {
     request.threads = options.worker_threads;
   } else {
-    // Local-first default: split this host's thread budget across the
-    // workers, exactly like --processes does. Genuinely remote fleets
-    // should set --worker-threads (or 0 threads per host is never
-    // picked: at least 1).
+    // Local-first default: split this host's thread budget (the spec's
+    // threads, or the hardware concurrency they default to) across the
+    // workers — N workers each running a full-size pool would
+    // oversubscribe it N-fold and run *slower* than one process.
+    // Genuinely remote fleets should set --worker-threads.
     const std::size_t budget =
-        options.threads ? options.threads
-                        : std::max<std::size_t>(
-                              1, std::thread::hardware_concurrency());
+        plan.spec.threads ? plan.spec.threads
+                          : std::max<std::size_t>(
+                                1, std::thread::hardware_concurrency());
     request.threads = std::max<std::size_t>(1, budget / worker_count);
   }
-  request.args.push_back(options.sweep);
+  request.args.push_back(scenario);
   std::vector<std::string> tail;
   if (!options.raw_args.empty()) {
     tail.assign(options.raw_args.begin() + 1, options.raw_args.end());
@@ -208,8 +204,8 @@ dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
              "ssh-cmd", "remote-program", "sweep", "shards",
              "worker-threads", "timeout-ms", "retries", "backoff-ms",
              "backoff-cap-ms", "artifact-dir", "dispatch-log", "resume",
-             "dry-run", "persistent-workers", "speculate",
-             "speculate-factor", "dispatch-bench", "bench-repeats"});
+             "dry-run", "speculate", "speculate-factor", "dispatch-bench",
+             "bench-repeats"});
   request.args.insert(request.args.end(), tail.begin(), tail.end());
   if (!options.config_path.empty()) {
     std::ifstream config(options.config_path, std::ios::binary);
@@ -226,6 +222,8 @@ dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
   return request;
 }
 
+namespace {
+
 void print_worker_summaries(const dist::Dispatcher& dispatcher,
                             std::FILE* human) {
   for (const auto& worker : dispatcher.workers()) {
@@ -237,23 +235,27 @@ void print_worker_summaries(const dist::Dispatcher& dispatcher,
   }
 }
 
-// --dispatch-bench: run the identical dispatch --bench-repeats times in
-// spawn-per-attempt mode, then again over one set of persistent sessions
-// (the Dispatcher is reused, so sessions — and their caches — stay warm
-// across repeats), assert the two modes' CSVs are byte-identical, and
-// write the BENCH_dispatch.json record CI gates against
-// bench/baselines/dispatch.json. Repeat 1 of session mode is the cold
-// session (spawn + first plan parse); repeats 2+ are fully warm.
+// --dispatch-bench: run the identical dispatch --bench-repeats times over
+// one set of sessions (the Dispatcher is reused, so sessions — and their
+// caches — stay warm across repeats), assert every repeat's CSV equals
+// the in-process whole run's, and write the BENCH_dispatch.json record CI
+// gates against bench/baselines/dispatch.json. Repeat 1 is the cold
+// session (spawn + first plan parse + cold cache); the warm wall is the
+// median of repeats 2+, so cold over warm is what a session amortizes.
+// Work stealing may move a shard to a session that has not cached its
+// prefixes yet; each session misses a prefix at most once, and the median
+// keeps those re-warming repeats out of the warm wall when enough repeats
+// run.
 int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
                        const std::vector<WorkerSpec>& specs,
                        const dist::DispatchOptions& dispatch_options,
                        const dist::DispatchRequest& request,
                        dist::DispatchLog* log, std::FILE* human) {
   const std::size_t repeats = std::max<std::size_t>(2, options.bench_repeats);
-  auto csv_of = [](const MergedSweep& merged) {
+  auto csv_of = [](const SweepSpec& spec, const SweepResult& result) {
     std::ostringstream out;
     CsvReporter csv(out);
-    csv.report(merged.spec, merged.result);
+    csv.report(spec, result);
     return out.str();
   };
   auto elapsed_ms = [](std::chrono::steady_clock::time_point since) {
@@ -261,82 +263,64 @@ int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
                std::chrono::steady_clock::now() - since)
         .count();
   };
-  // Mean over repeats 2..R — the warm measurement for either mode.
-  auto warm_mean = [](const std::vector<double>& walls) {
-    double sum = 0.0;
-    for (std::size_t i = 1; i < walls.size(); ++i) sum += walls[i];
-    return sum / static_cast<double>(walls.size() - 1);
-  };
-
-  std::vector<double> spawn_ms;
-  std::string spawn_csv;
-  {
-    ScenarioOptions mode = options;
-    mode.persistent_workers = false;
-    dist::Dispatcher dispatcher(build_transports(specs, mode, log),
-                                dispatch_options, log);
-    for (std::size_t r = 0; r < repeats; ++r) {
-      const auto started = std::chrono::steady_clock::now();
-      const MergedSweep merged = dispatcher.run(plan, request);
-      spawn_ms.push_back(elapsed_ms(started));
-      if (r == 0) spawn_csv = csv_of(merged);
-      std::fprintf(human, "  spawn   repeat %zu/%zu: %.1f ms\n", r + 1,
-                   repeats, spawn_ms.back());
-      std::fflush(human);
-    }
-  }
-
-  std::vector<double> session_ms;
-  std::string session_csv;
-  dist::PersistentTransport::SessionStats session_totals;
-  {
-    ScenarioOptions mode = options;
-    mode.persistent_workers = true;
-    dist::Dispatcher dispatcher(build_transports(specs, mode, log),
-                                dispatch_options, log);
-    for (std::size_t r = 0; r < repeats; ++r) {
-      const auto started = std::chrono::steady_clock::now();
-      const MergedSweep merged = dispatcher.run(plan, request);
-      session_ms.push_back(elapsed_ms(started));
-      if (r == 0) session_csv = csv_of(merged);
-      std::fprintf(human, "  session repeat %zu/%zu: %.1f ms\n", r + 1,
-                   repeats, session_ms.back());
-      std::fflush(human);
-    }
+  dist::Dispatcher dispatcher(build_transports(specs, options, log),
+                              dispatch_options, log);
+  auto session_totals = [&dispatcher] {
+    dist::PersistentTransport::SessionStats totals;
     for (const auto& worker : dispatcher.workers()) {
-      const auto* persistent =
-          dynamic_cast<const dist::PersistentTransport*>(worker.get());
-      if (persistent == nullptr) continue;
+      // build_transports builds only session transports.
       const dist::PersistentTransport::SessionStats stats =
-          persistent->session_stats();
-      session_totals.opens += stats.opens;
-      session_totals.served += stats.served;
-      session_totals.fallback += stats.fallback;
-      session_totals.cache_hits += stats.cache_hits;
-      session_totals.cache_misses += stats.cache_misses;
-      session_totals.disk_hits += stats.disk_hits;
-      session_totals.replayed += stats.replayed;
+          static_cast<const dist::PersistentTransport&>(*worker)
+              .session_stats();
+      totals.opens += stats.opens;
+      totals.served += stats.served;
+      totals.cache_hits += stats.cache_hits;
+      totals.cache_misses += stats.cache_misses;
+      totals.disk_hits += stats.disk_hits;
+      totals.replayed += stats.replayed;
     }
-    print_worker_summaries(dispatcher, human);
+    return totals;
+  };
+  std::vector<std::string> csvs;
+  std::vector<double> session_ms;
+  std::uint64_t cold_cache_misses = 0;
+  for (std::size_t r = 0; r < repeats; ++r) {
+    const auto started = std::chrono::steady_clock::now();
+    const MergedSweep merged = dispatcher.run(plan, request);
+    session_ms.push_back(elapsed_ms(started));
+    csvs.push_back(csv_of(merged.spec, merged.result));
+    if (r == 0) cold_cache_misses = session_totals().cache_misses;
+    std::fprintf(human, "  session repeat %zu/%zu: %.1f ms\n", r + 1,
+                 repeats, session_ms.back());
+    std::fflush(human);
+  }
+  const dist::PersistentTransport::SessionStats totals = session_totals();
+  print_worker_summaries(dispatcher, human);
+  // The whole run goes last, so a --cache-dir it fills cannot warm the
+  // cold repeat.
+  ThreadPoolExecutor in_process;
+  const std::string whole_csv = csv_of(plan.spec, in_process.execute(plan));
+  for (const std::string& csv : csvs) {
+    if (csv != whole_csv) {
+      throw std::runtime_error(
+          "--dispatch-bench: the dispatched CSV differs from the in-process "
+          "whole run's — the dispatch-determinism contract is broken");
+    }
   }
 
-  if (spawn_csv != session_csv) {
-    throw std::runtime_error(
-        "--dispatch-bench: the persistent-session CSV differs from the "
-        "spawn-per-attempt CSV — the dispatch-determinism contract is "
-        "broken");
-  }
-
-  const double spawn_warm = warm_mean(spawn_ms);
-  const double session_warm = warm_mean(session_ms);
-  const double warm_speedup =
-      session_warm > 0.0 ? spawn_warm / session_warm : 0.0;
+  std::vector<double> warm(session_ms.begin() + 1, session_ms.end());
+  std::sort(warm.begin(), warm.end());
+  const std::size_t mid = warm.size() / 2;
+  const double session_cold = session_ms.front();
+  const double session_warm =
+      warm.size() % 2 ? warm[mid] : (warm[mid - 1] + warm[mid]) / 2.0;
+  const double cold_warm_ratio =
+      session_warm > 0.0 ? session_cold / session_warm : 0.0;
   std::fprintf(human,
-               "dispatch bench: spawn warm %.1f ms, session warm %.1f ms "
-               "(cold %.1f ms), warm speedup %.2fx, %zu session(s) served "
-               "%zu shard(s)\n",
-               spawn_warm, session_warm, session_ms.front(), warm_speedup,
-               session_totals.opens, session_totals.served);
+               "dispatch bench: session cold %.1f ms, warm %.1f ms, "
+               "cold/warm %.2fx, %zu session(s) served %zu shard(s)\n",
+               session_cold, session_warm, cold_warm_ratio, totals.opens,
+               totals.served);
 
   std::ostringstream json;
   json << "{\n";
@@ -345,36 +329,29 @@ int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
   json << "  \"workers\": " << specs.size() << ",\n";
   json << "  \"shards\": " << dispatch_options.shard_count << ",\n";
   json << "  \"repeats\": " << repeats << ",\n";
-  auto write_walls = [&json](const char* key,
-                             const std::vector<double>& walls) {
-    json << "  \"" << key << "\": [";
-    for (std::size_t i = 0; i < walls.size(); ++i) {
-      if (i) json << ", ";
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.3f", walls[i]);
-      json << buf;
-    }
-    json << "],\n";
-  };
-  write_walls("spawn_ms", spawn_ms);
-  write_walls("session_ms", session_ms);
+  json << "  \"session_ms\": [";
+  for (std::size_t i = 0; i < session_ms.size(); ++i) {
+    if (i) json << ", ";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", session_ms[i]);
+    json << buf;
+  }
+  json << "],\n";
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", spawn_warm);
-  json << "  \"spawn_warm_ms\": " << buf << ",\n";
-  std::snprintf(buf, sizeof(buf), "%.3f", session_ms.front());
+  std::snprintf(buf, sizeof(buf), "%.3f", session_cold);
   json << "  \"session_cold_ms\": " << buf << ",\n";
   std::snprintf(buf, sizeof(buf), "%.3f", session_warm);
   json << "  \"session_warm_ms\": " << buf << ",\n";
-  std::snprintf(buf, sizeof(buf), "%.3f", warm_speedup);
-  json << "  \"warm_speedup\": " << buf << ",\n";
-  json << "  \"session_opens\": " << session_totals.opens << ",\n";
-  json << "  \"session_served\": " << session_totals.served << ",\n";
-  json << "  \"session_fallback\": " << session_totals.fallback << ",\n";
-  json << "  \"cache_hits\": " << session_totals.cache_hits << ",\n";
-  json << "  \"cache_misses\": " << session_totals.cache_misses << ",\n";
-  json << "  \"disk_hits\": " << session_totals.disk_hits << ",\n";
-  json << "  \"replayed\": " << session_totals.replayed << ",\n";
-  json << "  \"csv_identical\": true\n";
+  std::snprintf(buf, sizeof(buf), "%.3f", cold_warm_ratio);
+  json << "  \"cold_warm_ratio\": " << buf << ",\n";
+  json << "  \"session_opens\": " << totals.opens << ",\n";
+  json << "  \"session_served\": " << totals.served << ",\n";
+  json << "  \"cache_hits\": " << totals.cache_hits << ",\n";
+  json << "  \"cache_misses\": " << totals.cache_misses << ",\n";
+  json << "  \"cold_cache_misses\": " << cold_cache_misses << ",\n";
+  json << "  \"disk_hits\": " << totals.disk_hits << ",\n";
+  json << "  \"replayed\": " << totals.replayed << ",\n";
+  json << "  \"csv_matches_whole_run\": true\n";
   json << "}\n";
 
   const std::string json_path =
@@ -412,7 +389,8 @@ int run_dispatch_scenario(const ScenarioOptions& options) {
 
   const SweepSpec spec = make_scenario_sweep(options.sweep, options);
   const SweepPlan plan = build_sweep_plan(spec, PolicyRegistry::global());
-  const std::vector<WorkerSpec> specs = parse_worker_specs(options);
+  const std::vector<WorkerSpec> specs =
+      parse_worker_specs(options.workers_spec, options.hosts_path);
   const std::size_t shard_count =
       options.dispatch_shards ? options.dispatch_shards : specs.size();
 
@@ -430,10 +408,8 @@ int run_dispatch_scenario(const ScenarioOptions& options) {
                               options.json_path == "-";
   std::FILE* human = machine_stdout ? stderr : stdout;
   if (!spec.title.empty()) std::fprintf(human, "%s\n", spec.title.c_str());
-  std::fprintf(human,
-               "dispatching %zu shard(s) over %zu worker(s)%s%s\n",
+  std::fprintf(human, "dispatching %zu shard(s) over %zu worker(s)%s\n",
                shard_count, specs.size(),
-               options.persistent_workers ? " [persistent sessions]" : "",
                options.speculate ? " [speculative re-execution]" : "");
 
   bool any_remote = false;
@@ -486,7 +462,7 @@ int run_dispatch_scenario(const ScenarioOptions& options) {
   dist::DispatchLog log(log_file);
 
   const dist::DispatchRequest request =
-      build_dispatch_request(options, plan, specs.size());
+      build_dispatch_request(options, options.sweep, plan, specs.size());
   if (options.dispatch_bench) {
     return run_dispatch_bench(options, plan, specs, dispatch_options,
                               request, &log, human);
@@ -604,11 +580,10 @@ struct SessionCache {
   std::string dir;
 };
 
-// One dispatch request, shared by the one-shot (v1) and session (v2)
-// worker paths: rebuild the spec from the request args, refuse on
-// fingerprint mismatch, execute the shard, frame the artifact to stdout.
-// Returns false when stdout failed (the session must end — the
-// dispatcher's framing is broken).
+// One dispatch request of a session: rebuild the spec from the request
+// args, refuse on fingerprint mismatch, execute the shard, frame the
+// artifact to stdout. Returns false when stdout failed (the session must
+// end — the dispatcher's framing is broken).
 bool serve_dispatch_request(const dist::DispatchRequest& request_in,
                             SessionCache* session, std::size_t sequence) {
   dist::DispatchRequest request = request_in;
@@ -661,43 +636,31 @@ bool serve_dispatch_request(const dist::DispatchRequest& request_in,
         "binary version skew or FAIRSCHED_* environment overrides)");
   }
 
-  SweepResult result;
-  if (session) {
-    if (!session->cache || session->fingerprint != plan.fingerprint ||
-        session->bytes != spec.cache_bytes ||
-        session->dir != spec.cache_dir) {
-      session->cache = std::make_unique<WorkloadCache>(
-          spec.cache_bytes, spec.cache_dir, /*retain=*/true);
-      session->fingerprint = plan.fingerprint;
-      session->bytes = spec.cache_bytes;
-      session->dir = spec.cache_dir;
-    }
-    ThreadPoolExecutor executor(session->cache.get());
-    result = executor.execute(plan);
-  } else {
-    ThreadPoolExecutor executor;
-    result = executor.execute(plan);
+  if (!session->cache || session->fingerprint != plan.fingerprint ||
+      session->bytes != spec.cache_bytes || session->dir != spec.cache_dir) {
+    session->cache = std::make_unique<WorkloadCache>(
+        spec.cache_bytes, spec.cache_dir, /*retain=*/true);
+    session->fingerprint = plan.fingerprint;
+    session->bytes = spec.cache_bytes;
+    session->dir = spec.cache_dir;
   }
+  ThreadPoolExecutor executor(session->cache.get());
+  const SweepResult result = executor.execute(plan);
 
   std::ostringstream artifact;
   write_shard_artifact(artifact, plan, result);
-  if (session) {
-    // The stat footer feeds the dispatcher's per-worker session summary.
-    // Counters are this call's delta (exp/executor.h), so the artifact
-    // stays comparable to a per-run-cache worker's.
-    const std::vector<std::pair<std::string, std::uint64_t>> stats = {
-        {"cache_hits", result.cache.hits},
-        {"cache_misses", result.cache.misses},
-        {"disk_hits", result.cache.disk_hits},
-        {"replayed", result.replayed_runs},
-    };
-    dist::write_session_artifact_frame(std::cout, request.shard,
-                                       request.shard_count, artifact.str(),
-                                       stats);
-  } else {
-    dist::write_artifact_frame(std::cout, request.shard,
-                               request.shard_count, artifact.str());
-  }
+  // The stat footer feeds the dispatcher's per-worker session summary.
+  // Counters are this call's delta (exp/executor.h), so the artifact
+  // stays comparable to a per-run-cache worker's.
+  const std::vector<std::pair<std::string, std::uint64_t>> stats = {
+      {"cache_hits", result.cache.hits},
+      {"cache_misses", result.cache.misses},
+      {"disk_hits", result.cache.disk_hits},
+      {"replayed", result.replayed_runs},
+  };
+  dist::write_session_artifact_frame(std::cout, request.shard,
+                                     request.shard_count, artifact.str(),
+                                     stats);
   std::cout.flush();
   if (!std::cout.good()) {
     std::fprintf(stderr, "shard-worker: failed writing artifact frame\n");
@@ -712,13 +675,7 @@ bool serve_dispatch_request(const dist::DispatchRequest& request_in,
 
 }  // namespace
 
-int run_shard_worker_scenario(bool session) {
-  if (!session) {
-    const dist::DispatchRequest request =
-        dist::read_dispatch_request(std::cin);
-    return serve_dispatch_request(request, nullptr, 0) ? 0 : 2;
-  }
-
+int run_shard_worker_scenario() {
   // Protocol v2: announce the session (the hello doubles as the version
   // handshake and carries this host's hardware concurrency for the
   // dispatcher's remote thread-budget default), then serve request after

@@ -12,22 +12,30 @@
 //     count. Policy-independent prefixes flow through the WorkloadCache,
 //     including its optional disk tier (spec.cache_dir).
 //
-//   * MultiProcessExecutor — runs one `fairsched_exp shard-worker`
-//     subprocess per shard through the distributed dispatcher
-//     (dist/dispatcher.h) with local process transports, and folds the
-//     shard artifacts (exp/sweep_artifact.h) in plan order. The merged
-//     result is bit-identical to a whole single-process run: each
-//     per-cell aggregate is computed entirely within one shard, in the
-//     same relative fold order a whole run would use.
+//   * MultiProcessExecutor — runs one shard per `fairsched_exp
+//     shard-worker` session (dist/transport.h) through the distributed
+//     dispatcher (dist/dispatcher.h), and folds the shard artifacts
+//     (exp/sweep_artifact.h) in plan order. The merged result is
+//     bit-identical to a whole single-process run: each per-cell
+//     aggregate is computed entirely within one shard, in the same
+//     relative fold order a whole run would use.
 //
 // SweepDriver (exp/sweep.h) is the convenience facade over
 // build_sweep_plan + ThreadPoolExecutor for whole in-process runs.
 
+#include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "dist/protocol.h"
 #include "exp/sweep_plan.h"
+
+namespace fairsched::dist {
+class Dispatcher;
+class WorkerTransport;
+}  // namespace fairsched::dist
 
 namespace fairsched::exp {
 
@@ -74,29 +82,34 @@ class ThreadPoolExecutor final : public Executor {
 
 class MultiProcessExecutor final : public Executor {
  public:
-  // `worker_command` is the argv that reproduces the caller's sweep (the
-  // harness binary, then the subcommand and flags). The executor sends it
-  // — minus the program — to `fairsched_exp shard-worker` subprocesses as
-  // a dispatch request (dist/protocol.h): sharding and the per-worker
-  // thread budget travel in the request rather than as flags, so
-  // inherited FAIRSCHED_* env vars can neither recurse nor skew the
-  // rebuilt plan (the worker refuses on fingerprint mismatch). The
-  // plan's thread budget (spec.threads, or the hardware concurrency it
-  // defaults to) is divided across the workers, not multiplied by them.
-  MultiProcessExecutor(std::vector<std::string> worker_command,
-                       std::size_t processes);
+  // `workers` are the shard workers, one shard each (--processes=N builds
+  // `local*N` session transports with exp/scenarios.h build_transports);
+  // `request` is the dispatch request every attempt shares
+  // (build_dispatch_request). Sharding and the per-worker thread budget
+  // travel in the request rather than as flags, so inherited FAIRSCHED_*
+  // env vars can neither recurse nor skew the rebuilt plan (the worker
+  // refuses on fingerprint mismatch). Artifacts land in a scratch
+  // directory removed with the executor; sessions stay open across
+  // execute() calls.
+  MultiProcessExecutor(
+      std::vector<std::unique_ptr<dist::WorkerTransport>> workers,
+      dist::DispatchRequest request);
+  ~MultiProcessExecutor() override;
 
-  // Spawns the workers, waits, merges their artifacts. The plan must be a
-  // whole-run plan (shard {0, 1}); per-run sinks are not supported across
-  // process boundaries (--stream-records within a shard still is) and a
-  // non-null `sink` is rejected. Throws std::runtime_error when a worker
-  // exits nonzero or its artifact does not match the plan's fingerprint.
+  // Dispatches the shards, waits, merges their artifacts. The plan must
+  // be the whole-run plan the request was built for (shard {0, 1});
+  // per-run sinks are not supported across process boundaries
+  // (--stream-records within a shard still is) and a non-null `sink` is
+  // rejected. Throws std::runtime_error when a worker fails — one attempt
+  // per shard: a local worker that dies signals a bug, not a flaky
+  // network.
   SweepResult execute(const SweepPlan& plan, Progress progress = nullptr,
                       RecordSink sink = nullptr) override;
 
  private:
-  std::vector<std::string> worker_command_;
-  std::size_t processes_;
+  dist::DispatchRequest request_;
+  std::filesystem::path scratch_;
+  std::unique_ptr<dist::Dispatcher> dispatcher_;
 };
 
 }  // namespace fairsched::exp

@@ -31,12 +31,11 @@
 //                                   --hosts=FILE --ssh-cmd=CMD --shards=N
 //                                   --timeout-ms=T --retries=R
 //                                   --artifact-dir=DIR --resume --dry-run
-//   fairsched_exp shard-worker      protocol peer of dispatch: reads one
-//                                   dispatch request on stdin, writes the
-//                                   shard artifact frame on stdout;
-//                                   --session serves many requests over
-//                                   one connection (protocol v2), keeping
-//                                   its workload cache warm across shards
+//   fairsched_exp shard-worker      protocol peer of dispatch: a session
+//                                   (protocol v2) serving dispatch
+//                                   requests on stdin with shard artifact
+//                                   frames on stdout, keeping its
+//                                   workload cache warm across shards
 //   fairsched_exp serve             online scheduler session over an event
 //                                   stream (src/serve): --source=
 //                                   synthetic|stdin|FILE, --policy=NAME,
@@ -117,7 +116,7 @@ int usage(const char* argv0) {
       "--hosts=FILE --ssh-cmd=CMD --remote-program=PATH --shards=N "
       "--worker-threads=N --timeout-ms=T --retries=R --backoff-ms=B "
       "--backoff-cap-ms=C --artifact-dir=DIR --dispatch-log=FILE "
-      "--resume --dry-run --persistent-workers --speculate "
+      "--resume --dry-run --speculate "
       "--speculate-factor=X --dispatch-bench --bench-repeats=N "
       "(see docs/DISTRIBUTED.md)\n"
       "custom/plan flags: --policies=a,b,c --workload=%s --config=FILE\n"
@@ -206,7 +205,7 @@ int main(int argc, char** argv) {
       return run_dispatch_scenario(options);
     }
     if (command == "shard-worker") {
-      return run_shard_worker_scenario(flags.get_bool("session", false));
+      return run_shard_worker_scenario();
     }
     if (command == "serve") {
       return run_serve_scenario(options);

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "dist/transport.h"
 #include "exp/executor.h"
 #include "exp/reporter.h"
 #include "exp/sweep_artifact.h"
@@ -222,54 +223,6 @@ void reject_sharding(const char* scenario, const ScenarioOptions& options) {
   }
 }
 
-}  // namespace
-
-std::vector<std::string> drop_flag_tokens(
-    const std::vector<std::string>& args,
-    const std::vector<std::string>& names) {
-  std::vector<std::string> out;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& token = args[i];
-    bool dropped = false;
-    for (const std::string& name : names) {
-      const std::string bare = "--" + name;
-      if (token == bare) {
-        // `--name value` consumes the value token too (mirrors Flags).
-        if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) ++i;
-        dropped = true;
-        break;
-      }
-      if (token.rfind(bare + "=", 0) == 0) {
-        dropped = true;
-        break;
-      }
-    }
-    if (!dropped) out.push_back(token);
-  }
-  return out;
-}
-
-namespace {
-
-// The command a multi-process sweep's workers run: the same program and
-// arguments, minus the orchestration flags (the executor's workers are
-// `shard-worker` protocol peers now — dist/transport.h — so sharding is
-// carried by the request, not flags) and the reporting flags (a worker's
-// only output is its artifact; the parent reports the merge).
-std::vector<std::string> worker_command(const ScenarioOptions& options) {
-  if (options.program.empty()) {
-    throw std::invalid_argument(
-        "--processes needs the harness's own command line; run through "
-        "fairsched_exp (or use --shard workers and `merge` manually)");
-  }
-  std::vector<std::string> command{options.program};
-  const std::vector<std::string> kept = drop_flag_tokens(
-      options.raw_args, {"processes", "shard", "partial-out", "csv",
-                         "json", "stream-records"});
-  command.insert(command.end(), kept.begin(), kept.end());
-  return command;
-}
-
 // The --stream-records sink: an owning CSV writer over a file or stdout.
 // Records arrive in the deterministic fold order, so the emitted file is
 // bit-identical across thread counts.
@@ -408,7 +361,6 @@ ScenarioOptions scenario_options_from_flags(const Flags& flags) {
   options.dispatch_log_path = flags.get_string("dispatch-log", "");
   options.resume_dispatch = flags.get_bool("resume", false);
   options.dry_run = flags.get_bool("dry-run", false);
-  options.persistent_workers = flags.get_bool("persistent-workers", false);
   options.speculate = flags.get_bool("speculate", false);
   options.speculate_factor = flags.get_double("speculate-factor", 2.0);
   if (options.speculate_factor <= 0.0) {
@@ -1021,8 +973,17 @@ int run_sweep_scenario(const SweepSpec& spec,
       build_sweep_plan(spec, PolicyRegistry::global(), shard);
   SweepResult result;
   if (options.processes > 1) {
-    MultiProcessExecutor executor(worker_command(options),
-                                  options.processes);
+    if (options.program.empty() || options.raw_args.empty()) {
+      throw std::invalid_argument(
+          "--processes needs the harness's own command line; run through "
+          "fairsched_exp (or use --shard workers and `merge` manually)");
+    }
+    const std::vector<WorkerSpec> workers =
+        parse_worker_specs("local*" + std::to_string(options.processes), "");
+    MultiProcessExecutor executor(
+        build_transports(workers, options, nullptr),
+        build_dispatch_request(options, options.raw_args.front(), plan,
+                               workers.size()));
     result = executor.execute(plan, progress, nullptr);
   } else {
     ThreadPoolExecutor executor;

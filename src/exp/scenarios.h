@@ -7,6 +7,7 @@
 // points.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,12 @@
 #include "exp/sweep.h"
 #include "util/cli.h"
 #include "workload/assignment.h"
+
+namespace fairsched::dist {
+class DispatchLog;
+class WorkerTransport;
+struct DispatchRequest;
+}  // namespace fairsched::dist
 
 namespace fairsched::exp {
 
@@ -132,14 +139,10 @@ struct ScenarioOptions {
   std::string dispatch_log_path;      // "" = <artifact-dir>/dispatch.log.jsonl
   bool resume_dispatch = false;       // --resume
   bool dry_run = false;               // --dry-run: print the assignment plan
-  // --persistent-workers: protocol-v2 sessions — one long-lived
-  // `shard-worker --session` per worker serves every shard, keeping its
-  // WorkloadCache warm across shards (docs/DISTRIBUTED.md).
-  bool persistent_workers = false;
   bool speculate = false;          // --speculate: straggler re-execution
   double speculate_factor = 2.0;   // --speculate-factor (p50 multiplier)
-  // --dispatch-bench: time spawn-per-attempt vs persistent sessions over
-  // --bench-repeats repeats of the same dispatch and write the
+  // --dispatch-bench: time --bench-repeats repeats of the same dispatch
+  // over one set of sessions (cold first repeat, warm rest) and write the
   // BENCH_dispatch.json record instead of the normal reports.
   bool dispatch_bench = false;
   std::size_t bench_repeats = 3;
@@ -217,14 +220,6 @@ void apply_strategy_axes(SweepSpec& spec, const ScenarioOptions& options);
 SweepSpec make_scenario_sweep(const std::string& command,
                               const ScenarioOptions& options);
 
-// Drops `--name=value`, `--name value` and bare `--name` occurrences of
-// the given flags from a raw argv tail — used to rebuild worker command
-// lines / dispatch requests without the orchestration flags the
-// executor or dispatcher re-appends itself.
-std::vector<std::string> drop_flag_tokens(
-    const std::vector<std::string>& args,
-    const std::vector<std::string>& names);
-
 // REF's running-time scaling (Prop. 3.4 / Cor. 3.5: FPT in the number of
 // organizations k, ~3^k per decision, polynomial in the jobs): two pure
 // perf sweeps over the `ref` policy on LPC-EGEE — one along an `orgs`
@@ -297,16 +292,55 @@ int run_replay_scenario(const ScenarioOptions& options);
 // --dry-run prints the shard -> worker assignment plan as JSON instead.
 int run_dispatch_scenario(const ScenarioOptions& options);
 
-// `fairsched_exp shard-worker`: the receiving end of the dispatch wire
-// protocol (dist/protocol.h). One-shot (v1): reads one DispatchRequest
-// from stdin, rebuilds the sweep spec from the request's args (writing an
-// embedded config to a scratch file when present), refuses on fingerprint
-// mismatch, executes its shard in-process, and writes the framed shard
-// artifact to stdout. With `session` (v2, `--session`): announces itself
-// with a session hello, then serves request after request over the same
-// stdin/stdout connection until goodbye/EOF, keeping a retained
-// WorkloadCache warm across requests with equal plan fingerprints; each
-// artifact frame carries a cache-counter stat footer.
-int run_shard_worker_scenario(bool session);
+// `fairsched_exp shard-worker [--session]`: the receiving end of the
+// dispatch wire protocol (dist/protocol.h). Announces itself with a
+// protocol-v2 session hello, then serves request after request over the
+// same stdin/stdout connection until goodbye/EOF: rebuilds the sweep spec
+// from each request's args (writing an embedded config to a scratch file
+// when present), refuses on fingerprint mismatch, executes the shard
+// in-process, and writes the framed shard artifact to stdout. A retained
+// WorkloadCache stays warm across requests with equal plan fingerprints;
+// each artifact frame carries a cache-counter stat footer. `--session`
+// is accepted for compatibility and changes nothing.
+int run_shard_worker_scenario();
+
+// ---- out-of-process workers, shared by `dispatch` and --processes=N -----
+
+struct SweepPlan;
+
+// One --workers/--hosts entry: where a session worker runs.
+struct WorkerSpec {
+  bool local = true;
+  std::string host;  // ssh target when !local
+  std::string name;  // display name ("local#0", "ssh:hostb#2")
+};
+
+// `workers` entries (comma-separated `local` / `ssh:HOST`, each with an
+// optional `*N` multiplier) first, then the `hosts_path` file (one entry
+// per line, `#` comments); defaults to local*2 when both are empty. Names
+// get a global #index suffix so duplicated entries stay distinguishable
+// in the dispatch log. --processes=N is `local*N`.
+std::vector<WorkerSpec> parse_worker_specs(const std::string& workers,
+                                           const std::string& hosts_path);
+
+// One protocol-v2 session transport (dist/transport.h) per spec: local
+// entries run `options.program shard-worker --session`, ssh entries wrap
+// --remote-program in --ssh-cmd. Remote workers without --worker-threads
+// get request threads 0 (their own hardware concurrency). `log` is
+// optional.
+std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
+    const std::vector<WorkerSpec>& specs, const ScenarioOptions& options,
+    dist::DispatchLog* log);
+
+// The request every attempt shares: `scenario` plus the original argv
+// tail with the orchestration, reporting and dispatch flags stripped (each
+// is either re-derived per attempt or meaningless on a worker), the
+// --config file's bytes embedded for hosts without the file, and the
+// per-worker thread budget — --worker-threads, or the spec's thread
+// budget split across `worker_count` workers.
+dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
+                                             const std::string& scenario,
+                                             const SweepPlan& plan,
+                                             std::size_t worker_count);
 
 }  // namespace fairsched::exp

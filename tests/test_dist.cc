@@ -1,7 +1,9 @@
 // Tests for the distributed dispatch layer (src/dist): the wire
-// protocol's round trips and version handshake (v1 one-shot and v2
-// session frames, including truncation/skew fuzzing of the incremental
-// frame scanner), run_worker_process against real subprocesses, and —
+// protocol's round trips and version handshake (request and session
+// frames, including truncation/skew fuzzing of the incremental frame
+// scanner), PersistentTransport against scripted /bin/sh peers (exit
+// codes, timeouts, protocol skew, and process-group hygiene: no wrapper
+// descendant survives a timeout, a teardown or a cancel), and —
 // through a seeded FlakyTransport that drops, delays and corrupts
 // artifacts — the dispatcher's convergence guarantee: every failure
 // schedule that leaves any worker alive folds to the byte-identical
@@ -9,9 +11,10 @@
 // quarantined, never folded. Speculative straggler re-execution is
 // driven through latched transports (benign duplicate-loss keeps the
 // bytes; a divergent duplicate quarantines both artifacts and aborts),
-// and PersistentTransport runs end-to-end against the real fairsched_exp
-// binary (FAIRSCHED_EXP_BINARY). Also pins the `dispatch --dry-run`
-// assignment plan to tests/golden/dispatch_dry_run.json (regenerate with
+// and PersistentTransport and MultiProcessExecutor run end-to-end against
+// the real fairsched_exp binary (FAIRSCHED_EXP_BINARY). Also pins the
+// `dispatch --dry-run` assignment plan to
+// tests/golden/dispatch_dry_run.json (regenerate with
 // FAIRSCHED_UPDATE_GOLDEN=1).
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -71,11 +75,18 @@ DispatchRequest sample_request() {
   return request;
 }
 
+// Reads one request frame the way a session worker does.
+DispatchRequest read_request(std::istream& in) {
+  DispatchRequest request;
+  EXPECT_EQ(read_session_command(in, &request), SessionCommand::kRequest);
+  return request;
+}
+
 TEST(DispatchProtocol, RequestRoundTripsArgsWithSpacesAndConfigBytes) {
   const DispatchRequest request = sample_request();
   std::stringstream wire;
   write_dispatch_request(wire, request);
-  const DispatchRequest back = read_dispatch_request(wire);
+  const DispatchRequest back = read_request(wire);
   EXPECT_EQ(back.fingerprint, request.fingerprint);
   EXPECT_EQ(back.shard, request.shard);
   EXPECT_EQ(back.shard_count, request.shard_count);
@@ -91,7 +102,7 @@ TEST(DispatchProtocol, RequestWithoutConfigRoundTrips) {
   request.config_content.clear();
   std::stringstream wire;
   write_dispatch_request(wire, request);
-  const DispatchRequest back = read_dispatch_request(wire);
+  const DispatchRequest back = read_request(wire);
   EXPECT_EQ(back.args, request.args);
   EXPECT_TRUE(back.config_name.empty());
   EXPECT_TRUE(back.config_content.empty());
@@ -117,7 +128,7 @@ TEST(DispatchProtocol, VersionSkewNamesBothVersions) {
   text.replace(0, handshake.size(), "fairsched-dispatch-request 999");
   std::istringstream skewed(text);
   try {
-    read_dispatch_request(skewed);
+    read_request(skewed);
     FAIL() << "expected a version-skew error";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -139,7 +150,7 @@ TEST(DispatchProtocol, TruncatedRequestNamesWhatWasExpected) {
   const std::string text = wire.str();
   std::istringstream truncated(text.substr(0, text.size() / 2));
   try {
-    read_dispatch_request(truncated);
+    read_request(truncated);
     FAIL() << "expected a truncation error";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("stream ended"),
@@ -151,7 +162,7 @@ TEST(DispatchProtocol, TruncatedRequestNamesWhatWasExpected) {
 TEST(DispatchProtocol, ArtifactFrameRoundTripsAnyBytes) {
   const std::string payload = "{\"cells\": [1, 2]}\nline two\n";
   std::ostringstream wire;
-  write_artifact_frame(wire, 3, 7, payload);
+  write_session_artifact_frame(wire, 3, 7, payload, {});
   const ArtifactFrame frame = parse_artifact_frame(wire.str(), "test");
   EXPECT_EQ(frame.shard, 3u);
   EXPECT_EQ(frame.shard_count, 7u);
@@ -163,7 +174,7 @@ TEST(DispatchProtocol, ArtifactParserSkipsBannerNoiseBeforeTheFrame) {
   // parser must find the magic line wherever it starts.
   std::ostringstream wire;
   wire << "Welcome to hostA!\nLast login: yesterday\n";
-  write_artifact_frame(wire, 0, 2, "payload-bytes");
+  write_session_artifact_frame(wire, 0, 2, "payload-bytes", {});
   const ArtifactFrame frame = parse_artifact_frame(wire.str(), "test");
   EXPECT_EQ(frame.shard, 0u);
   EXPECT_EQ(frame.payload, "payload-bytes");
@@ -204,8 +215,9 @@ TEST(SessionProtocol, GoodbyeThenEofEndASessionCleanly) {
 }
 
 TEST(SessionProtocol, RequestFramesKeepTheV1FormatOnSessions) {
-  // The v1-fallback seam: session request frames are byte-for-byte v1
-  // dispatch requests, so a skewed v1 worker still parses the first one.
+  // Session request frames are byte-for-byte version-1 dispatch requests,
+  // so a skewed one-shot worker still parses the first one — and answers
+  // with the v1 artifact the dispatcher refuses by name.
   const DispatchRequest request = sample_request();
   std::stringstream wire;
   write_dispatch_request(wire, request);
@@ -223,7 +235,6 @@ TEST(SessionProtocol, SessionArtifactFrameRoundTripsTheStatFooter) {
   write_session_artifact_frame(wire, 1, 4, payload,
                                {{"cache_hits", 30}, {"replayed", 0}});
   const ArtifactFrame frame = parse_artifact_frame(wire.str(), "test");
-  EXPECT_EQ(frame.version, kSessionProtocolVersion);
   EXPECT_EQ(frame.shard, 1u);
   EXPECT_EQ(frame.shard_count, 4u);
   EXPECT_EQ(frame.payload, payload);
@@ -234,12 +245,19 @@ TEST(SessionProtocol, SessionArtifactFrameRoundTripsTheStatFooter) {
   EXPECT_EQ(frame.stats[1].second, 0u);
 }
 
-TEST(SessionProtocol, V1ArtifactFramesParseWithEmptyStats) {
-  std::ostringstream wire;
-  write_artifact_frame(wire, 0, 2, "payload");
-  const ArtifactFrame frame = parse_artifact_frame(wire.str(), "test");
-  EXPECT_EQ(frame.version, kDispatchProtocolVersion);
-  EXPECT_TRUE(frame.stats.empty());
+// A one-shot v1 worker's artifact frame, as such a binary writes it.
+const char kV1ArtifactFrame[] =
+    "fairsched-shard-artifact 1\nshard 2 5\npayload 2\nok\nend\n";
+
+TEST(SessionProtocol, V1ArtifactFramesAreRefusedNamingBothVersions) {
+  try {
+    parse_artifact_frame(kV1ArtifactFrame, "skew");
+    FAIL() << "expected a version-skew error";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("v2"), std::string::npos) << what;
+  }
 }
 
 TEST(SessionProtocol, StatNamesMustBeSingleTokens) {
@@ -306,9 +324,9 @@ TEST(SessionProtocol, TruncationFuzzNeverMisparsesAFrame) {
 
 TEST(SessionProtocol, UnknownArtifactVersionFailsNamingIt) {
   std::ostringstream wire;
-  write_artifact_frame(wire, 0, 1, "p");
+  write_session_artifact_frame(wire, 0, 1, "p", {});
   std::string text = wire.str();
-  const std::string handshake = "fairsched-shard-artifact 1";
+  const std::string handshake = "fairsched-shard-artifact 2";
   ASSERT_EQ(text.find(handshake), 0u) << text;
   text.replace(0, handshake.size(), "fairsched-shard-artifact 3");
   try {
@@ -318,61 +336,6 @@ TEST(SessionProtocol, UnknownArtifactVersionFailsNamingIt) {
     EXPECT_NE(std::string(e.what()).find("v3"), std::string::npos)
         << e.what();
   }
-}
-
-// --- run_worker_process -----------------------------------------------------
-
-TEST(RunWorkerProcess, TimeoutKillsTheWorkerAndSaysSo) {
-  const auto outcome =
-      run_worker_process({"/bin/sh", "-c", "sleep 30"}, sample_request(),
-                         std::chrono::milliseconds(200));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
-  EXPECT_NE(outcome.detail.find("200ms shard timeout"),
-            std::string::npos)
-      << outcome.detail;
-}
-
-TEST(RunWorkerProcess, NonzeroExitIsAFailedAttemptWithTheExitCode) {
-  const auto outcome = run_worker_process(
-      {"/bin/sh", "-c", "cat > /dev/null; exit 3"}, sample_request(),
-      std::chrono::milliseconds(0));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
-  EXPECT_NE(outcome.detail.find("exit code 3"), std::string::npos)
-      << outcome.detail;
-}
-
-TEST(RunWorkerProcess, MissingBinaryFailsWithExitCode127) {
-  const auto outcome =
-      run_worker_process({"/no/such/fairsched-binary"}, sample_request(),
-                         std::chrono::milliseconds(0));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
-  EXPECT_NE(outcome.detail.find("exit code 127"), std::string::npos)
-      << outcome.detail;
-}
-
-TEST(RunWorkerProcess, WorkerClosingStdinEarlyStillDelivers) {
-  // A worker may legitimately exit without draining its stdin; the
-  // half-written request must not wedge or crash the dispatcher side.
-  std::ostringstream frame;
-  write_artifact_frame(frame, 2, 5, "ok");
-  const auto outcome = run_worker_process(
-      {"/bin/sh", "-c",
-       "exec 0<&-; printf '" + frame.str() + "'"},
-      sample_request(), std::chrono::milliseconds(0));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kArtifact)
-      << outcome.detail;
-  EXPECT_EQ(outcome.payload, "ok");
-}
-
-TEST(RunWorkerProcess, FrameForTheWrongShardIsRejected) {
-  std::ostringstream frame;
-  write_artifact_frame(frame, 1, 5, "ok");  // request asks for shard 2
-  const auto outcome = run_worker_process(
-      {"/bin/sh", "-c", "cat > /dev/null; printf '" + frame.str() + "'"},
-      sample_request(), std::chrono::milliseconds(0));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
-  EXPECT_NE(outcome.detail.find("asked for 2/5"), std::string::npos)
-      << outcome.detail;
 }
 
 // --- dispatcher with a seeded flaky transport -------------------------------
@@ -927,31 +890,267 @@ TEST(Speculation, DivergentDuplicateQuarantinesBothArtifactsAndAborts) {
       << run.log;
 }
 
-// --- PersistentTransport against the real binary -----------------------------
+// --- PersistentTransport against scripted peers ---------------------------
+
+// A session peer scripted in /bin/sh: `script` runs with the request on
+// its stdin. Frames are printed with printf, so their bytes must not
+// contain '%' or '\'.
+PersistentTransport scripted_peer(const std::string& name,
+                                  const std::string& script) {
+  return PersistentTransport(name, {"/bin/sh", "-c", script});
+}
+
+std::string hello_frame() {
+  std::ostringstream out;
+  write_session_hello(out, SessionHello{4});
+  return out.str();
+}
+
+std::string artifact_frame(std::size_t shard, std::size_t shard_count,
+                           const std::string& payload) {
+  std::ostringstream out;
+  write_session_artifact_frame(out, shard, shard_count, payload, {});
+  return out.str();
+}
+
+// Running a worker process: the session transport's exit-code, timeout
+// and framing checks.
+
+TEST(RunWorkerProcess, TimeoutKillsTheWorkerAndSaysSo) {
+  PersistentTransport transport = scripted_peer("hang#0", "sleep 30");
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(200));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
+  EXPECT_NE(outcome.detail.find("200ms shard timeout"), std::string::npos)
+      << outcome.detail;
+}
+
+TEST(RunWorkerProcess, NonzeroExitIsAFailedAttemptWithTheExitCode) {
+  PersistentTransport transport = scripted_peer("exit#0", "exit 3");
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
+  EXPECT_NE(outcome.detail.find("exit code 3"), std::string::npos)
+      << outcome.detail;
+}
+
+TEST(RunWorkerProcess, MissingBinaryFailsWithExitCode127) {
+  PersistentTransport transport("missing#0", {"/no/such/fairsched-binary"});
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
+  EXPECT_NE(outcome.detail.find("exit code 127"), std::string::npos)
+      << outcome.detail;
+}
+
+TEST(RunWorkerProcess, WorkerClosingStdinEarlyStillDelivers) {
+  // A worker may legitimately close its stdin without draining the
+  // request; the half-written request must not wedge or crash the
+  // dispatcher side.
+  PersistentTransport transport = scripted_peer(
+      "early#0", "exec 0<&-; printf '" + hello_frame() +
+                     artifact_frame(2, 5, "ok") + "'");
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kArtifact)
+      << outcome.detail;
+  EXPECT_EQ(outcome.payload, "ok");
+}
+
+TEST(RunWorkerProcess, FrameForTheWrongShardIsRejected) {
+  // The request asks for shard 2/5; the peer answers for 1/5.
+  PersistentTransport transport = scripted_peer(
+      "echo#0", "printf '" + hello_frame() + artifact_frame(1, 5, "ok") +
+                    "'; cat > /dev/null");
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
+  EXPECT_NE(outcome.detail.find("asked for 2/5"), std::string::npos)
+      << outcome.detail;
+}
+
+TEST(PersistentSession, TimeoutTearsDownAndRespawnsTheSession) {
+  PersistentTransport transport = scripted_peer("hang#0", "sleep 30");
+  auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(200));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
+  EXPECT_NE(outcome.detail.find("session killed"), std::string::npos)
+      << outcome.detail;
+  EXPECT_EQ(transport.session_stats().opens, 1u);
+  // The next attempt opens a fresh session instead of reusing the corpse.
+  outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(200));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
+  EXPECT_EQ(transport.session_stats().opens, 2u);
+}
+
+TEST(PersistentSession, V1PeerIsRefusedNamingBothVersions) {
+  // A skewed one-shot peer: it answers the request with a v1 artifact and
+  // never says hello. The attempt fails loudly instead of folding it.
+  PersistentTransport transport = scripted_peer(
+      "skewed#0",
+      "printf '" + std::string(kV1ArtifactFrame) + "'; cat > /dev/null");
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
+  EXPECT_NE(outcome.detail.find("no session hello"), std::string::npos)
+      << outcome.detail;
+  EXPECT_NE(outcome.detail.find("protocol v1"), std::string::npos)
+      << outcome.detail;
+  EXPECT_NE(outcome.detail.find("v2 sessions"), std::string::npos)
+      << outcome.detail;
+  EXPECT_EQ(transport.session_stats().served, 0u);
+}
+
+TEST(PersistentSession, MidStreamDisconnectFailsTheAttemptOnly) {
+  // The peer dies after a valid hello, mid-conversation: the attempt
+  // fails with a session diagnostic naming its exit status; the hello was
+  // still recorded.
+  PersistentTransport transport =
+      scripted_peer("drop#0", "printf '" + hello_frame() + "'");
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
+  EXPECT_NE(outcome.detail.find("session ended before an artifact frame"),
+            std::string::npos)
+      << outcome.detail;
+  EXPECT_NE(outcome.detail.find("exit code 0"), std::string::npos)
+      << outcome.detail;
+  EXPECT_EQ(transport.hello_threads(), 4u);
+  EXPECT_EQ(transport.session_stats().opens, 1u);
+}
+
+// --- process-group hygiene --------------------------------------------------
+
+// A peer that first starts a background `sleep` grandchild — what a
+// wrapper (`sh -c`, an ssh command script) leaves behind — and records
+// its pid in `pid_file`, then runs `rest`.
+std::string with_grandchild(const std::string& pid_file,
+                            const std::string& rest) {
+  return "sleep 30 < /dev/null > /dev/null 2>&1 & echo $! > " + pid_file +
+         "; " + rest;
+}
+
+pid_t read_pid_file(const std::filesystem::path& path) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::ifstream in(path);
+    pid_t pid = 0;
+    if (in >> pid && pid > 0) return pid;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return -1;
+}
+
+// True once `pid` has exited (gone, or a zombie awaiting its new parent).
+bool exits_soon(pid_t pid) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  const std::string stat = "/proc/" + std::to_string(pid) + "/stat";
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::ifstream in(stat);
+    std::string text;
+    if (!std::getline(in, text)) return true;
+    const std::size_t paren = text.rfind(')');
+    if (paren != std::string::npos && paren + 2 < text.size() &&
+        text[paren + 2] == 'Z') {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+TEST(ProcessHygiene, NoDescendantSurvivesATimeout) {
+  TempDir dir("hygiene-timeout");
+  const auto pid_file = dir.path / "grandchild.pid";
+  PersistentTransport transport = scripted_peer(
+      "hang#0", with_grandchild(pid_file.string(), "cat > /dev/null"));
+  // Long enough for the peer to start its grandchild before the kill.
+  const auto outcome =
+      transport.run_shard(sample_request(), std::chrono::milliseconds(500));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
+  const pid_t grandchild = read_pid_file(pid_file);
+  ASSERT_GT(grandchild, 0);
+  EXPECT_TRUE(exits_soon(grandchild));
+}
+
+TEST(ProcessHygiene, NoDescendantSurvivesATeardown) {
+  // A served session, then the transport goes away: the polite goodbye
+  // ends the peer, and its leftover grandchild goes with it.
+  TempDir dir("hygiene-teardown");
+  const auto pid_file = dir.path / "grandchild.pid";
+  pid_t grandchild = -1;
+  {
+    PersistentTransport transport = scripted_peer(
+        "served#0",
+        with_grandchild(pid_file.string(),
+                        "printf '" + hello_frame() +
+                            artifact_frame(2, 5, "ok") +
+                            "'; cat > /dev/null"));
+    const auto outcome =
+        transport.run_shard(sample_request(), std::chrono::milliseconds(0));
+    EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kArtifact)
+        << outcome.detail;
+    grandchild = read_pid_file(pid_file);
+  }
+  ASSERT_GT(grandchild, 0);
+  EXPECT_TRUE(exits_soon(grandchild));
+}
+
+TEST(ProcessHygiene, NoDescendantSurvivesACancel) {
+  TempDir dir("hygiene-cancel");
+  const auto pid_file = dir.path / "grandchild.pid";
+  PersistentTransport transport = scripted_peer(
+      "loser#0", with_grandchild(pid_file.string(),
+                                 "printf '" + hello_frame() +
+                                     "'; cat > /dev/null"));
+  WorkerTransport::Outcome outcome;
+  std::thread attempt([&] {
+    outcome =
+        transport.run_shard(sample_request(), std::chrono::seconds(20));
+  });
+  const pid_t grandchild = read_pid_file(pid_file);
+  transport.cancel_inflight();
+  attempt.join();
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
+  EXPECT_NE(outcome.detail.find("canceled"), std::string::npos)
+      << outcome.detail;
+  ASSERT_GT(grandchild, 0);
+  EXPECT_TRUE(exits_soon(grandchild));
+}
+
+// --- sessions against the real binary ----------------------------------------
 
 // The dispatch request whose args rebuild the sweep inside the worker
-// binary, plus the matching locally built spec. Mirrors
-// serve_dispatch_request's rebuild path (same Flags -> options -> spec
-// pipeline), so the fingerprints agree by construction.
+// binary, plus the matching locally built spec and the options it came
+// from. Mirrors serve_dispatch_request's rebuild path (same Flags ->
+// options -> spec pipeline), so the fingerprints agree by construction.
 struct E2eSweep {
+  exp::ScenarioOptions options;
   SweepSpec spec;
   DispatchRequest request;
 };
 
 E2eSweep e2e_sweep() {
+  // The orgs axis makes three prefix families, so every shard of a
+  // three-way split owns work.
   const std::vector<std::string> args = {
       "custom",          "--policies=roundrobin,fairshare",
       "--workload=unit", "--orgs=3",
       "--jobs-per-org=20", "--instances=4",
-      "--seed=42",         "--duration=60"};
+      "--seed=42",         "--duration=60",
+      "--axes=orgs=2,3,4"};
   std::vector<const char*> argv;
   argv.reserve(args.size());
   for (const std::string& arg : args) argv.push_back(arg.c_str());
   const Flags flags(static_cast<int>(argv.size()), argv.data());
-  const exp::ScenarioOptions options =
-      exp::scenario_options_from_flags(flags);
   E2eSweep e2e;
-  e2e.spec = exp::make_scenario_sweep("custom", options);
+  e2e.options = exp::scenario_options_from_flags(flags);
+  e2e.options.program = FAIRSCHED_EXP_BINARY;
+  e2e.options.raw_args = args;
+  e2e.spec = exp::make_scenario_sweep("custom", e2e.options);
   e2e.spec.threads = 1;
   e2e.request.fingerprint = build_sweep_plan(e2e.spec).fingerprint;
   e2e.request.threads = 1;
@@ -965,10 +1164,7 @@ TEST(PersistentSession, ServesEveryShardOverOneWarmSession) {
   std::ostringstream log_stream;
   DispatchLog log(log_stream);
   auto transport = std::make_unique<PersistentTransport>(
-      "session#0",
-      std::vector<std::string>{FAIRSCHED_EXP_BINARY, "shard-worker",
-                               "--session"},
-      std::vector<std::string>{FAIRSCHED_EXP_BINARY, "shard-worker"}, &log);
+      "session#0", session_worker_argv(FAIRSCHED_EXP_BINARY, {}, ""), &log);
   const PersistentTransport* session = transport.get();
   std::vector<std::unique_ptr<WorkerTransport>> workers;
   workers.push_back(std::move(transport));
@@ -983,8 +1179,6 @@ TEST(PersistentSession, ServesEveryShardOverOneWarmSession) {
   const PersistentTransport::SessionStats stats = session->session_stats();
   EXPECT_EQ(stats.opens, 1u);
   EXPECT_EQ(stats.served, 3u);
-  EXPECT_EQ(stats.fallback, 0u);
-  EXPECT_FALSE(stats.v1_peer);
   EXPECT_GT(session->hello_threads(), 0u);
   EXPECT_NE(session->summary().find("3 shard(s) over 1 session(s)"),
             std::string::npos)
@@ -994,71 +1188,26 @@ TEST(PersistentSession, ServesEveryShardOverOneWarmSession) {
       << log_stream.str();
 }
 
-TEST(PersistentSession, V1PeerFallsBackToSpawnPerAttempt) {
+TEST(MultiProcess, LocalSessionFleetMatchesTheWholeRunByteForByte) {
+  // --processes=3 as scenarios.cc builds it: local*3 session transports
+  // and the shared dispatch request. Sessions stay open across execute()
+  // calls, so a second run over the same executor is warm — and the same
+  // bytes.
   const E2eSweep e2e = e2e_sweep();
   const SweepPlan plan = build_sweep_plan(e2e.spec);
-  // A "skewed" peer: the same binary in one-shot v1 mode answers the
-  // first request with a v1 artifact and no hello.
-  std::ostringstream log_stream;
-  DispatchLog log(log_stream);
-  auto transport = std::make_unique<PersistentTransport>(
-      "skewed#0",
-      std::vector<std::string>{FAIRSCHED_EXP_BINARY, "shard-worker"},
-      std::vector<std::string>{FAIRSCHED_EXP_BINARY, "shard-worker"}, &log);
-  const PersistentTransport* session = transport.get();
-  std::vector<std::unique_ptr<WorkerTransport>> workers;
-  workers.push_back(std::move(transport));
-  TempDir dir("session-v1-fallback");
-  DispatchOptions options;
-  options.shard_count = 2;
-  options.backoff = std::chrono::milliseconds(1);
-  options.artifact_dir = dir.path.string();
-  Dispatcher dispatcher(std::move(workers), options, &log);
-  const MergedSweep merged = dispatcher.run(plan, e2e.request);
-  EXPECT_EQ(csv_of(merged.spec, merged.result), whole_run_csv(e2e.spec));
-  const PersistentTransport::SessionStats stats = session->session_stats();
-  EXPECT_TRUE(stats.v1_peer);
-  EXPECT_EQ(stats.served, 0u);
-  EXPECT_EQ(stats.fallback, 2u);
-  EXPECT_NE(session->summary().find("v1 peer"), std::string::npos)
-      << session->summary();
-  EXPECT_NE(log_stream.str().find("\"event\":\"session-v1-fallback\""),
-            std::string::npos)
-      << log_stream.str();
-}
-
-TEST(PersistentSession, TimeoutTearsDownAndRespawnsTheSession) {
-  PersistentTransport transport("hang#0", {"/bin/sh", "-c", "sleep 30"},
-                                {"/bin/true"});
-  auto outcome =
-      transport.run_shard(sample_request(), std::chrono::milliseconds(200));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
-  EXPECT_NE(outcome.detail.find("session killed"), std::string::npos)
-      << outcome.detail;
-  EXPECT_EQ(transport.session_stats().opens, 1u);
-  // The next attempt opens a fresh session instead of reusing the corpse.
-  outcome =
-      transport.run_shard(sample_request(), std::chrono::milliseconds(200));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kTimeout);
-  EXPECT_EQ(transport.session_stats().opens, 2u);
-}
-
-TEST(PersistentSession, MidStreamDisconnectFailsTheAttemptOnly) {
-  // The peer dies after a valid hello, mid-conversation: the attempt
-  // fails with a session diagnostic; the hello was still recorded.
-  PersistentTransport transport(
-      "drop#0",
-      {"/bin/sh", "-c",
-       "printf 'fairsched-session-hello 2\\nthreads 4\\nend\\n'"},
-      {"/bin/true"});
-  const auto outcome =
-      transport.run_shard(sample_request(), std::chrono::milliseconds(0));
-  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kFailed);
-  EXPECT_NE(outcome.detail.find("session ended before an artifact frame"),
-            std::string::npos)
-      << outcome.detail;
-  EXPECT_EQ(transport.hello_threads(), 4u);
-  EXPECT_EQ(transport.session_stats().opens, 1u);
+  const std::vector<exp::WorkerSpec> fleet =
+      exp::parse_worker_specs("local*3", "");
+  ASSERT_EQ(fleet.size(), 3u);
+  const DispatchRequest request =
+      exp::build_dispatch_request(e2e.options, "custom", plan, fleet.size());
+  EXPECT_EQ(request.fingerprint, plan.fingerprint);
+  EXPECT_EQ(request.threads, 1u);  // spec budget 1 split over 3 workers
+  EXPECT_EQ(request.args, e2e.request.args);
+  exp::MultiProcessExecutor executor(
+      exp::build_transports(fleet, e2e.options, nullptr), request);
+  const std::string whole = whole_run_csv(e2e.spec);
+  EXPECT_EQ(csv_of(e2e.spec, executor.execute(plan)), whole);
+  EXPECT_EQ(csv_of(e2e.spec, executor.execute(plan)), whole);
 }
 
 // --- dry-run golden ---------------------------------------------------------

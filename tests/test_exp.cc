@@ -739,7 +739,9 @@ TEST(ShardedSweep, ShardRunsOnlyOwnedCellsAndRecordsCarryRunIds) {
   std::size_t previous = 0;
   bool first = true;
   for (const RunRecord& record : records) {
-    if (!first) EXPECT_GT(record.run_id, previous);
+    if (!first) {
+      EXPECT_GT(record.run_id, previous);
+    }
     first = false;
     previous = record.run_id;
     const RunRecord& reference = whole_records[record.run_id];

@@ -119,7 +119,9 @@ TEST(SweepPlan, ShardsPartitionTasksByPrefixFamily) {
       for (std::size_t task : shard.shard_tasks) {
         // Ascending (the shard's fold order), disjoint across shards,
         // and family-complete: a task's whole family shares its shard.
-        if (!first) EXPECT_GT(task, previous);
+        if (!first) {
+          EXPECT_GT(task, previous);
+        }
         first = false;
         previous = task;
         EXPECT_TRUE(seen_tasks.insert(task).second) << task;

@@ -18,6 +18,7 @@
 #include "metrics/utility.h"
 #include "sched/rand_fair.h"
 #include "sched/ref.h"
+#include "shapley/shapley.h"
 #include "sim/engine.h"
 #include "strategy/game.h"
 #include "util/json.h"
@@ -1429,7 +1430,7 @@ int run_rand_convergence_scenario(const ScenarioOptions& options) {
         bounds.add_row(
             {std::to_string(kk), AsciiTable::format_double(eps, 2),
              AsciiTable::format_double(lambda, 2),
-             std::to_string(rand_theorem_samples(kk, eps, lambda))});
+             std::to_string(rand_sample_bound(kk, eps, lambda))});
       }
     }
   }

@@ -19,7 +19,7 @@ Instance make_unit_instance(std::uint32_t orgs, std::uint32_t jobs_per_org,
   Rng rng(seed);
   InstanceBuilder b;
   for (std::uint32_t u = 0; u < orgs; ++u) {
-    b.add_org("o" + std::to_string(u),
+    b.add_org(std::string("o").append(std::to_string(u)),
               1 + static_cast<std::uint32_t>(rng.uniform_u64(2)));
   }
   for (std::uint32_t u = 0; u < orgs; ++u) {

@@ -168,7 +168,7 @@ std::string fingerprint_content(const SweepPlan& plan) {
   for (const SweepAxis& axis : spec.axes) {
     content += "|axis=" + axis.name;
     content += std::string("|scope=") + axis_scope_name(axis.scope);
-    for (double v : axis.values) content += "," + exact(v);
+    for (double v : axis.values) content.append(",").append(exact(v));
   }
   // Appended only for strategy sweeps, so every pre-strategy fingerprint
   // is unchanged. The grid order matters (strategy axis values index it).

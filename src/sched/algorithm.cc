@@ -17,10 +17,7 @@ RunResult PolicyAlgorithm::run(const Instance& inst, Time horizon,
   engine.run(*policy, horizon);
   RunResult result;
   result.schedule = engine.schedule();
-  result.utilities2.resize(inst.num_orgs());
-  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    result.utilities2[u] = engine.psi2(u);
-  }
+  result.utilities2 = engine.utilities2();
   result.work_done = engine.total_work_done();
   return result;
 }

@@ -1,0 +1,55 @@
+#include "sched/coalition_bank.h"
+
+#include <stdexcept>
+#include <utility>
+
+#include "sched/org_index.h"
+
+namespace fairsched {
+
+CoalitionBank::CoalitionBank(const Instance& inst,
+                             const std::vector<Coalition>& slots)
+    : agg_(slots.size()) {
+  engines_.reserve(slots.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    engines_.push_back(std::make_unique<Engine>(inst, slots[s]));
+    engines_.back()->mirror_aggregate(&agg_[s]);
+  }
+}
+
+void CoalitionBank::run(
+    Time horizon,
+    const std::function<void(std::uint32_t slot, Time t)>& decide) {
+  if (ran_) throw std::logic_error("CoalitionBank::run called twice");
+  ran_ = true;
+  // KeyedArgmin breaks key ties toward the lower id, i.e. the lower slot. A
+  // slot's entry never goes stale: only processing a slot changes its own
+  // wake-up time. The tournament tree stays L1-resident and a re-arm is
+  // log2(slots) node updates.
+  KeyedArgmin<std::pair<Time, std::uint32_t>> queue;
+  queue.init(size());
+  auto arm = [&](std::uint32_t slot) {
+    const Engine& e = *engines_[slot];
+    const Time t = e.next_decision_time();
+    if (t != kTimeInfinity && t < horizon) {
+      queue.set(slot, {t, e.active().size()});
+    } else {
+      queue.clear(slot);
+    }
+  };
+  for (std::uint32_t slot = 0; slot < size(); ++slot) arm(slot);
+  for (;;) {
+    const std::uint32_t slot = queue.argmin();
+    if (slot == KeyedArgmin<std::pair<Time, std::uint32_t>>::kNone) break;
+    Engine& e = *engines_[slot];
+    // The armed time: unchanged since arming, because no other slot's
+    // processing touches this engine.
+    const Time t = e.next_decision_time();
+    e.advance_to(t);
+    if (e.needs_decision()) decide(slot, t);
+    arm(slot);
+  }
+  for (auto& e : engines_) e->advance_to(horizon);
+}
+
+}  // namespace fairsched

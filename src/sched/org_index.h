@@ -96,8 +96,6 @@ class KeyedArgmin {
     win_.assign(2 * base_, kNone);
   }
 
-  bool has(std::uint32_t i) const { return present_[i] != 0; }
-
   void set(std::uint32_t i, Key key) {
     keys_[i] = std::move(key);
     present_[i] = 1;

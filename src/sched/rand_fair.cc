@@ -1,91 +1,70 @@
 #include "sched/rand_fair.h"
 
+#include <map>
 #include <stdexcept>
 
-#include "sched/fcfs.h"
-#include "shapley/shapley.h"
 #include "util/rng.h"
 
 namespace fairsched {
 
-std::size_t rand_theorem_samples(std::uint32_t k, double epsilon,
-                                 double lambda) {
-  return rand_sample_bound(k, epsilon, lambda);
-}
-
-RandScheduler::RandScheduler(const Instance& inst, RandOptions options)
-    : inst_(&inst), options_(options) {
+std::vector<Coalition> RandScheduler::sample(
+    const Instance& inst, const RandOptions& options,
+    std::vector<std::vector<PrefixPair>>& prefixes) {
   const std::uint32_t k = inst.num_orgs();
   if (k == 0) throw std::invalid_argument("RandScheduler: empty instance");
   if (k > Coalition::kMaxOrgs) {
     throw std::invalid_argument("RandScheduler: too many organizations");
   }
-  if (options_.samples == 0) {
+  if (options.samples == 0) {
     throw std::invalid_argument("RandScheduler: need at least one sample");
   }
-  grand_ = std::make_unique<Engine>(inst, Coalition::grand(k));
-
-  // Prepare(C): N random orderings; each prefix pair (C', C' | u) is
-  // recorded for u. Distinct coalitions share one simplified engine.
-  Rng rng(options_.seed);
-  prefix_masks_.resize(k);
-  auto ensure_engine = [&](Coalition::Mask mask) {
-    if (mask == 0) return;  // v(empty) = 0, no engine needed
-    auto& slot = sampled_[mask];
-    if (!slot) slot = std::make_unique<Engine>(inst, Coalition(mask));
-  };
-  for (std::size_t i = 0; i < options_.samples; ++i) {
-    const std::vector<std::uint32_t> order = rng.permutation(k);
+  // N random orderings; each prefix pair (C', C' | u) is recorded for u,
+  // as masks until the slots are numbered.
+  Rng rng(options.seed);
+  prefixes.resize(k);
+  std::map<Coalition::Mask, std::uint32_t> slot_of{{0, 0}};
+  for (std::size_t i = 0; i < options.samples; ++i) {
     Coalition::Mask mask = 0;
-    for (OrgId u : order) {
-      prefix_masks_[u].push_back(mask);
-      ensure_engine(mask);
-      mask |= Coalition::Mask{1} << u;
-      ensure_engine(mask);
+    for (OrgId u : rng.permutation(k)) {
+      const Coalition::Mask with = mask | Coalition::Mask{1} << u;
+      prefixes[u].push_back({mask, with});
+      slot_of.emplace(with, 0);  // numbered below
+      mask = with;
     }
+  }
+  // Distinct coalitions share one engine; slots are the ascending masks,
+  // the empty one included, then the RAND-driven grand engine.
+  std::vector<Coalition> slots;
+  for (auto& [mask, slot] : slot_of) {
+    slot = static_cast<std::uint32_t>(slots.size());
+    slots.push_back(Coalition(mask));
+  }
+  for (auto& pairs : prefixes) {
+    for (PrefixPair& pair : pairs) {
+      pair = {slot_of[pair.before], slot_of[pair.with]};
+    }
+  }
+  slots.push_back(Coalition::grand(k));
+  return slots;
+}
+
+RandScheduler::RandScheduler(const Instance& inst, RandOptions options)
+    : options_(options),
+      bank_(inst, sample(inst, options, prefix_slots_)) {
+  fcfs_.resize(grand_slot());
+  for (std::uint32_t slot = 0; slot < grand_slot(); ++slot) {
+    bank_.engine(slot).attach(&fcfs_[slot]);
+    fcfs_[slot].reset(PolicyView(bank_.engine(slot)));
   }
 }
 
-void RandScheduler::advance_sampled(Engine& engine, Time t) {
-  // Attach the greedy FCFS policy for the duration of this catch-up so its
-  // incremental mirror rides the push notifications instead of rebuilding
-  // per decision (it would still be exact unattached — just O(n) slower).
-  FcfsPolicy fcfs;
-  PolicyView view(engine);
-  engine.attach(&fcfs);
-  fcfs.reset(view);
-  for (;;) {
-    // Decision-granularity wake-ups (see Engine::next_decision_time);
-    // skipped releases are batch-processed in identical order.
-    const Time te = engine.next_decision_time();
-    if (te == kTimeInfinity || te > t) break;
-    engine.advance_to(te);
-    while (engine.needs_decision()) {
-      const OrgId u = fcfs.select(view);
-      // started-so-far == running + completed; the driver that decides also
-      // delivers on_start (start_front does not synthesize it).
-      const std::uint32_t index = engine.running(u) + engine.completed(u);
-      const MachineId m = engine.start_front(u);
-      fcfs.on_start(view, u, index, m);
-    }
-  }
-  engine.advance_to(t);
-  engine.attach(nullptr);
-}
-
-std::vector<double> RandScheduler::contributions2() const {
-  std::vector<double> phi2(inst_->num_orgs(), 0.0);
-  for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
+std::vector<double> RandScheduler::contributions2(Time t) const {
+  std::vector<double> phi2(prefix_slots_.size(), 0.0);
+  for (OrgId u = 0; u < phi2.size(); ++u) {
     double total = 0.0;
-    for (Coalition::Mask before : prefix_masks_[u]) {
-      const Coalition::Mask with_u = before | (Coalition::Mask{1} << u);
-      const double v_before =
-          before == 0
-              ? 0.0
-              : static_cast<double>(sampled_.at(before)->value2());
-      const double v_with =
-          static_cast<double>(sampled_.at(with_u)->value2());
-      total += v_with - v_before;
+    for (const PrefixPair& pair : prefix_slots_[u]) {
+      total += static_cast<double>(bank_.value2_at(pair.with, t)) -
+               static_cast<double>(bank_.value2_at(pair.before, t));
     }
     phi2[u] = total / static_cast<double>(options_.samples);
   }
@@ -93,50 +72,27 @@ std::vector<double> RandScheduler::contributions2() const {
 }
 
 void RandScheduler::run(Time horizon) {
-  if (ran_) throw std::logic_error("RandScheduler::run called twice");
-  ran_ = true;
-  for (;;) {
-    const Time t = grand_->next_decision_time();
-    if (t == kTimeInfinity || t >= horizon) break;
-    grand_->advance_to(t);
-    if (!grand_->needs_decision()) continue;
-    // Bring every sampled coalition's simplified schedule to t so that the
-    // contribution estimates are current.
-    for (auto& [mask, engine] : sampled_) {
-      advance_sampled(*engine, t);
+  bank_.run(horizon, [&](std::uint32_t slot, Time t) {
+    Engine& e = bank_.engine(slot);
+    if (slot == grand_slot()) {
+      start_by_deficit(e, [&](Coalition) { return contributions2(t); });
+      return;
     }
-    const std::vector<double> phi2 = contributions2();
-    while (grand_->needs_decision()) {
-      OrgId best = kNoOrg;
-      double best_deficit = 0.0;
-      for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
-        if (grand_->waiting(u) == 0) continue;
-        const double deficit =
-            phi2[u] - static_cast<double>(grand_->psi2(u));
-        if (best == kNoOrg || deficit > best_deficit) {
-          best = u;
-          best_deficit = deficit;
-        }
-      }
-      grand_->start_front(best);
+    // A sampled coalition's simplified schedule: FCFS. The driver that
+    // decides also delivers on_start (start_front does not synthesize it).
+    FcfsPolicy& fcfs = fcfs_[slot];
+    const PolicyView view(e);
+    while (e.needs_decision()) {
+      const OrgId u = fcfs.select(view);
+      const std::uint32_t index = e.running(u) + e.completed(u);
+      const MachineId m = e.start_front(u);
+      fcfs.on_start(view, u, index, m);
     }
-  }
-  grand_->advance_to(horizon);
-  for (auto& [mask, engine] : sampled_) {
-    advance_sampled(*engine, horizon);
-  }
-}
-
-std::vector<HalfUtil> RandScheduler::utilities2() const {
-  std::vector<HalfUtil> out(inst_->num_orgs(), 0);
-  for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
-    out[u] = grand_->psi2(u);
-  }
-  return out;
+  });
 }
 
 std::vector<double> RandScheduler::contributions() const {
-  std::vector<double> phi2 = contributions2();
+  std::vector<double> phi2 = contributions2(grand().now());
   for (double& p : phi2) p /= 2.0;
   return phi2;
 }

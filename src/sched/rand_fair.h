@@ -6,8 +6,8 @@
 // front. Every prefix of every ordering yields a pair of coalitions
 // (C', C' + u) for the organization u that follows the prefix; the Shapley
 // contribution of u is estimated as the average marginal value over its N
-// pairs (Eq. 2 sampled; Theorem 5.6's Hoeffding bound gives the FPRAS for
-// unit-size jobs).
+// pairs (Eq. 2 sampled; Theorem 5.6's Hoeffding bound, rand_sample_bound
+// in shapley/shapley.h, gives the FPRAS for unit-size jobs).
 //
 // The value v(C') of a sampled coalition is read off a *simplified*
 // schedule maintained for it. For unit-size jobs any greedy schedule yields
@@ -19,17 +19,22 @@
 // The real (grand-coalition) schedule starts the front job of the waiting
 // organization maximizing the estimated deficit phi(u) - psi(u), exactly as
 // REF does with the exact contributions.
+//
+// All engines run on REF's wake-up loop (sched/coalition_bank.h): each
+// sampled coalition with its own FCFS policy attached for the whole run,
+// then the grand engine as the last slot, which reads the sampled values
+// v(C', t) off the bank's mirror and selects with REF's Fig. 3 rule
+// (start_by_deficit, forced-choice fast path included).
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/coalition.h"
 #include "core/instance.h"
 #include "core/schedule.h"
 #include "core/types.h"
-#include "sim/engine.h"
+#include "sched/coalition_bank.h"
+#include "sched/fcfs.h"
 
 namespace fairsched {
 
@@ -38,40 +43,47 @@ struct RandOptions {
   std::uint64_t seed = 1;
 };
 
-// Returns the N prescribed by Theorem 5.6 for accuracy eps with confidence
-// lambda over k organizations.
-std::size_t rand_theorem_samples(std::uint32_t k, double epsilon,
-                                 double lambda);
-
 class RandScheduler {
  public:
   RandScheduler(const Instance& inst, RandOptions options = {});
 
   void run(Time horizon);
 
-  const Schedule& schedule() const { return grand_->schedule(); }
-  std::vector<HalfUtil> utilities2() const;
-  std::int64_t work_done() const { return grand_->total_work_done(); }
+  const Schedule& schedule() const { return grand().schedule(); }
+  std::vector<HalfUtil> utilities2() const { return grand().utilities2(); }
+  std::int64_t work_done() const { return grand().total_work_done(); }
   // Estimated contributions phi (time units) at the current clock.
   std::vector<double> contributions() const;
-  // Number of distinct sampled coalitions actually simulated.
-  std::size_t distinct_coalitions() const { return sampled_.size(); }
+  // Number of distinct nonempty sampled coalitions actually simulated (the
+  // bank also holds the empty coalition and the RAND-driven grand engine).
+  std::size_t distinct_coalitions() const { return bank_.size() - 2; }
 
  private:
-  // Advances a sampled coalition's simplified FCFS schedule to time t.
-  void advance_sampled(Engine& engine, Time t);
-  // phi2 estimates from the sampled engines at the grand engine's clock.
-  std::vector<double> contributions2() const;
+  // The sampled pair (C', C' | u) of one permutation prefix, as bank slots.
+  struct PrefixPair {
+    std::uint32_t before;
+    std::uint32_t with;
+  };
 
-  const Instance* inst_;
+  // Prepare(C): draws the N orderings, fills `prefixes` and returns the
+  // bank's slots.
+  static std::vector<Coalition> sample(
+      const Instance& inst, const RandOptions& options,
+      std::vector<std::vector<PrefixPair>>& prefixes);
+
+  std::uint32_t grand_slot() const { return bank_.size() - 1; }
+  const Engine& grand() const { return bank_.engine(grand_slot()); }
+  // phi2 estimates from the sampled values at time t.
+  std::vector<double> contributions2(Time t) const;
+
   RandOptions options_;
-  std::unique_ptr<Engine> grand_;
-  // mask -> simplified engine for the sampled coalition.
-  std::unordered_map<Coalition::Mask, std::unique_ptr<Engine>> sampled_;
-  // Per organization: masks of the sampled "predecessor" coalitions C'
-  // (one per permutation; the pair is (C', C' | u)). Multiplicity matters.
-  std::vector<std::vector<Coalition::Mask>> prefix_masks_;
-  bool ran_ = false;
+  // Per organization: one sampled pair per permutation. Multiplicity
+  // matters.
+  std::vector<std::vector<PrefixPair>> prefix_slots_;
+  // One FCFS policy per sampled slot, attached to its engine for the whole
+  // run. Declared before bank_ so it outlives the engines that point to it.
+  std::vector<FcfsPolicy> fcfs_;
+  CoalitionBank bank_;
 };
 
 }  // namespace fairsched

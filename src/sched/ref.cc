@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
-
-#include "sched/org_index.h"
 
 namespace fairsched {
 
@@ -30,50 +27,57 @@ double CompletedWorkUtilityFn::eval(const Instance& inst,
   return total;
 }
 
-RefScheduler::RefScheduler(const Instance& inst, RefOptions options)
-    : inst_(&inst), options_(options), grand_(Coalition::grand(inst.num_orgs())) {
+namespace {
+
+// The bank's slots: every coalition, ascending (slot = mask).
+std::vector<Coalition> all_coalitions(const Instance& inst) {
   const std::uint32_t k = inst.num_orgs();
   if (k == 0) throw std::invalid_argument("RefScheduler: empty instance");
-  if (k > kMaxOrgs) {
+  if (k > RefScheduler::kMaxOrgs) {
     throw std::invalid_argument(
         "RefScheduler: too many organizations for the exponential reference "
         "algorithm (max 16)");
   }
-  engines_.resize(std::size_t{1} << k);
-  agg_.assign(std::size_t{1} << k, Engine::AggSnapshot{});
-  for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
-    engines_[mask] = std::make_unique<Engine>(inst, Coalition(mask));
-    engines_[mask]->mirror_aggregate(&agg_[mask]);
+  std::vector<Coalition> slots;
+  for (Coalition::Mask mask = 0; mask < (Coalition::Mask{1} << k); ++mask) {
+    slots.push_back(Coalition(mask));
   }
-  vcache_.assign(engines_.size(), 0.0);
-  weights_.reserve(k);
-  for (std::uint32_t s = 1; s <= k; ++s) weights_.emplace_back(s);
+  return slots;
+}
+
+}  // namespace
+
+RefScheduler::RefScheduler(const Instance& inst, RefOptions options)
+    : inst_(&inst),
+      options_(options),
+      bank_(inst, all_coalitions(inst)) {
+  vcache_.assign(bank_.size(), 0.0);
+  weights_.reserve(inst.num_orgs());
+  for (std::uint32_t s = 1; s <= inst.num_orgs(); ++s) weights_.emplace_back(s);
 }
 
 const std::vector<double>& RefScheduler::contributions2_of(
     Coalition c, Time t, Coalition relevant) const {
-  std::vector<double>& phi2 = phi2_scratch_;
-  phi2.assign(inst_->num_orgs(), 0.0);
-  const ShapleyWeights& w = weights_[c.size() - 1];
-  // Pass 1: one O(1) closed-form read per subcoalition off the flat
-  // aggregate mirror — the identical expression Engine::value2_at
-  // evaluates (see Engine::AggSnapshot), so the result is bit-identical to
-  // advancing the engine to t and reading value2(). The global (time,
-  // size) order guarantees no subcoalition has an unprocessed completion
-  // at or before t, which is value2_at's validity condition.
+  // One O(1) closed-form read per subcoalition off the bank's flat
+  // aggregate mirror (valid by the bank's invariant).
   for_each_subset(c, [&](Coalition sub) {
     if (sub.is_empty()) return;
-    const Engine::AggSnapshot& s = agg_[sub.mask()];
-    const Time d = t - s.at;
-    vcache_[sub.mask()] = static_cast<double>(
-        s.psi2 + 2 * s.work * d + static_cast<HalfUtil>(s.running) * d * (d + 1));
+    vcache_[sub.mask()] = static_cast<double>(bank_.value2_at(sub.mask(), t));
   });
-  // Pass 2: the subset formula (Eq. 1). Subset enumeration order and the
-  // ascending member order of the inner loop match the historical scan, so
-  // every floating-point accumulation happens in the same sequence. The
-  // inner loop visits only members of `relevant`: phi2[u] accumulators are
-  // independent, so skipping orgs the caller will not read leaves the
-  // computed entries bit-identical while cutting the pass by |relevant|/|c|.
+  return shapley_of(c, relevant);
+}
+
+const std::vector<double>& RefScheduler::shapley_of(Coalition c,
+                                                    Coalition relevant) const {
+  std::vector<double>& phi = phi_scratch_;
+  phi.assign(inst_->num_orgs(), 0.0);
+  const ShapleyWeights& w = weights_[c.size() - 1];
+  // Subset enumeration order and the ascending member order of the inner
+  // loop match the historical scan, so every floating-point accumulation
+  // happens in the same sequence. The inner loop visits only members of
+  // `relevant`: phi[u] accumulators are independent, so skipping orgs the
+  // caller will not read leaves the computed entries bit-identical while
+  // cutting the pass by |relevant|/|c|.
   for_each_subset(c, [&](Coalition sub) {
     if (sub.is_empty()) return;
     const double v_sub = vcache_[sub.mask()];
@@ -83,16 +87,16 @@ const std::vector<double>& RefScheduler::contributions2_of(
       const OrgId u = static_cast<OrgId>(__builtin_ctz(rest));
       const Coalition::Mask without = sub.mask() & ~(Coalition::Mask{1} << u);
       const double v_without = without == 0 ? 0.0 : vcache_[without];
-      phi2[u] += weight * (v_sub - v_without);
+      phi[u] += weight * (v_sub - v_without);
     }
   });
-  return phi2;
+  return phi;
 }
 
 double RefScheduler::generic_distance(Coalition c, OrgId u, Time t,
                                       const std::vector<double>& phi,
                                       const std::vector<double>& psi) const {
-  const Engine& e = *engines_[c.mask()];
+  const Engine& e = engine(c);
   const UtilityFunction& util = *options_.generic_utility;
   // Tentatively start u's front job at t and evaluate the utility delta one
   // step ahead (at t; for psi_sp and any non-clairvoyant utility the value
@@ -112,57 +116,23 @@ double RefScheduler::generic_distance(Coalition c, OrgId u, Time t,
   return dist;
 }
 
-OrgId RefScheduler::select_sp(Coalition c,
-                              const std::vector<double>& phi2) const {
-  // Specialized psi_sp rule (Fig. 3): argmax of phi - psi among waiting.
-  // phi2 is the hoisted per-burst contribution vector (see
-  // process_coalition_at); psi2 reads are O(1) lazy folds.
-  const Engine& e = *engines_[c.mask()];
-  OrgId best = kNoOrg;
-  double best_deficit = 0.0;
-  for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
-    if (!c.contains(u) || e.waiting(u) == 0) continue;
-    const double deficit = phi2[u] - static_cast<double>(e.psi2(u));
-    if (best == kNoOrg || deficit > best_deficit) {
-      best = u;
-      best_deficit = deficit;
-    }
-  }
-  return best;
-}
-
 OrgId RefScheduler::select_generic(Coalition c, Time t) {
-  Engine& e = *engines_[c.mask()];
+  const Engine& e = engine(c);
   // Generic Distance rule (Fig. 1).
   const UtilityFunction& util = *options_.generic_utility;
-  std::vector<double> psi(inst_->num_orgs(), 0.0);
-  std::vector<double> phi(inst_->num_orgs(), 0.0);
-  // v(C', t) for the Shapley formula, from the generic utility.
-  const ShapleyWeights& w = weights_[c.size() - 1];
+  // v(C', t) from the generic utility, then Eq. 1 as in the psi_sp rule.
   for_each_subset(c, [&](Coalition sub) {
     if (sub.is_empty()) return;
     double v_sub = 0.0;
     for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
       if (sub.contains(u)) {
-        v_sub += util.eval(*inst_, engines_[sub.mask()]->schedule(), u, t);
+        v_sub += util.eval(*inst_, engine(sub).schedule(), u, t);
       }
     }
-    const double weight = w.weight(sub.size());
-    for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
-      if (!sub.contains(u)) continue;
-      const Coalition without = sub.without(u);
-      double v_without = 0.0;
-      if (!without.is_empty()) {
-        for (OrgId x = 0; x < inst_->num_orgs(); ++x) {
-          if (without.contains(x)) {
-            v_without +=
-                util.eval(*inst_, engines_[without.mask()]->schedule(), x, t);
-          }
-        }
-      }
-      phi[u] += weight * (v_sub - v_without);
-    }
+    vcache_[sub.mask()] = v_sub;
   });
+  const std::vector<double>& phi = shapley_of(c, c);
+  std::vector<double> psi(inst_->num_orgs(), 0.0);
   for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
     if (c.contains(u)) {
       psi[u] = util.eval(*inst_, e.schedule(), u, t);
@@ -181,127 +151,44 @@ OrgId RefScheduler::select_generic(Coalition c, Time t) {
   return best;
 }
 
-void RefScheduler::process_coalition_at(Coalition c, Time t) {
-  Engine& e = *engines_[c.mask()];
-  e.advance_to(t);
-  if (!e.needs_decision()) return;
-  if (options_.generic_utility == nullptr) {
-    // Subcoalition engines are NOT advanced here: by the global loop's
-    // (time, size) order they have no unprocessed events at or before t,
-    // so their values are O(1) closed-form reads at t (value2_at) off
-    // untouched engines — no O(2^s) clock-advance sweep per burst.
-    //
-    // The contribution vector is burst-invariant: starting a job at t adds
-    // no *accrued* value at t itself, so no subcoalition value v(C', t) —
-    // and hence no Shapley sum — changes until the clock moves. Hoisting
-    // the O(2^s) subset formula out of the decision loop turns a burst of
-    // m decisions from m full Shapley evaluations into one.
-    //
-    // Only orgs with a waiting job can be selected, and the waiting set
-    // cannot grow while the clock stands still (releases happen only in
-    // advance_to), so the Shapley pass is restricted to those orgs.
-    Coalition::Mask wmask = 0;
-    for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
-      if (c.contains(u) && e.waiting(u) > 0) {
-        wmask |= Coalition::Mask{1} << u;
-      }
-    }
-    if ((wmask & (wmask - 1)) == 0) {
-      // Exactly one org has waiting jobs (needs_decision guarantees at
-      // least one): every selection in this burst is forced — the argmax
-      // over a singleton — so the Shapley pass is skipped entirely. This
-      // covers all bursts of singleton coalitions and, in underloaded
-      // stretches, most release wake-ups of larger ones.
-      const OrgId u = static_cast<OrgId>(__builtin_ctz(wmask));
-      while (e.needs_decision()) {
-        e.start_front(u);
-      }
+void RefScheduler::run(Time horizon) {
+  bank_.run(horizon, [&](std::uint32_t slot, Time t) {
+    const Coalition c(slot);
+    Engine& e = bank_.engine(slot);
+    if (options_.generic_utility == nullptr) {
+      // Subcoalition engines are NOT advanced here: their values are O(1)
+      // closed-form reads at t off untouched engines (the bank's
+      // invariant), so a burst costs no O(2^s) clock-advance sweep. The
+      // Shapley pass is restricted to the waiting orgs, the only ones
+      // start_by_deficit reads.
+      start_by_deficit(e, [&](Coalition waiting) -> const std::vector<double>& {
+        return contributions2_of(c, t, waiting);
+      });
       return;
     }
-    const std::vector<double>& phi2 = contributions2_of(c, t, Coalition(wmask));
+    // Generic Distance rule: bring every subcoalition to t (closed-form
+    // accrual only, their events at times <= t are already processed) and
+    // evaluate per decision, completely unhoisted — an arbitrary
+    // UtilityFunction may react to schedule changes in ways we do not
+    // control.
+    for_each_subset(c, [&](Coalition sub) {
+      if (sub.is_empty() || sub == c) return;
+      bank_.engine(sub.mask()).advance_to(t);
+    });
     while (e.needs_decision()) {
-      const OrgId u = select_sp(c, phi2);
+      const OrgId u = select_generic(c, t);
       if (u == kNoOrg) {
         throw std::logic_error("RefScheduler: no selectable organization");
       }
       e.start_front(u);
     }
-    return;
-  }
-  // Generic Distance rule: bring every subcoalition to t (closed-form
-  // accrual only, their events at times <= t are already processed) and
-  // evaluate per decision, completely unhoisted — an arbitrary
-  // UtilityFunction may react to schedule changes in ways we do not
-  // control.
-  for_each_subset(c, [&](Coalition sub) {
-    if (sub.is_empty() || sub == c) return;
-    engines_[sub.mask()]->advance_to(t);
   });
-  while (e.needs_decision()) {
-    const OrgId u = select_generic(c, t);
-    if (u == kNoOrg) {
-      throw std::logic_error("RefScheduler: no selectable organization");
-    }
-    e.start_front(u);
-  }
-}
-
-void RefScheduler::run(Time horizon) {
-  if (ran_) throw std::logic_error("RefScheduler::run called twice");
-  ran_ = true;
-
-  // Global wake-up loop over all coalitions, ordered by (time, coalition
-  // size, mask) — the same lexicographic total order the former
-  // std::priority_queue<tuple> used (KeyedArgmin breaks key ties toward
-  // the lower id, i.e. the lower mask), so the processing sequence is
-  // identical. A coalition's entry is re-armed after each processing;
-  // entries never go stale because only processing a coalition changes its
-  // own wake-up time. The tournament tree stays L1-resident (2^(k+1)
-  // nodes) and a re-arm is k+1 node updates.
-  //
-  // Entries are armed with next_decision_time(), not next_event(): while a
-  // coalition has no free machine, releases cannot enable a decision, so
-  // the skipped wake-ups are batch-processed (in identical order) by the
-  // advance_to of the next completion-time wake — the decision sequence is
-  // unchanged and the loop pops a fraction of the entries.
-  KeyedArgmin<std::pair<Time, std::uint32_t>> queue;
-  queue.init(static_cast<std::uint32_t>(engines_.size()));
-  for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
-    const Time t = engines_[mask]->next_decision_time();
-    if (t != kTimeInfinity && t < horizon) {
-      queue.set(mask, {t, Coalition(mask).size()});
-    }
-  }
-  for (;;) {
-    const std::uint32_t mask = queue.argmin();
-    if (mask == KeyedArgmin<std::pair<Time, std::uint32_t>>::kNone) break;
-    // The armed time: unchanged since arming, because no other coalition's
-    // processing touches this engine.
-    const Time t = engines_[mask]->next_decision_time();
-    process_coalition_at(Coalition(mask), t);
-    const Time next = engines_[mask]->next_decision_time();
-    if (next != kTimeInfinity && next < horizon) {
-      queue.set(mask, {next, Coalition(mask).size()});
-    } else {
-      queue.clear(mask);
-    }
-  }
-  for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
-    engines_[mask]->advance_to(horizon);
-  }
-}
-
-std::vector<HalfUtil> RefScheduler::utilities2() const {
-  std::vector<HalfUtil> out(inst_->num_orgs(), 0);
-  for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
-    out[u] = grand_engine().psi2(u);
-  }
-  return out;
 }
 
 std::vector<double> RefScheduler::contributions() const {
+  const Engine& grand = grand_engine();
   std::vector<double> phi2 =
-      contributions2_of(grand_, grand_engine().now(), grand_);
+      contributions2_of(grand.active(), grand.now(), grand.active());
   for (double& p : phi2) p /= 2.0;
   return phi2;
 }

@@ -12,14 +12,13 @@
 // utility functions — both provably coincide for psi_sp, which tests verify).
 //
 // Scheduling decisions of C recursively depend on the subcoalitions'
-// schedules *at the same time moment* (Definition 3.1); we drive all 2^k-1
-// engines through one global event timeline ordered by (time, coalition
-// size): by the time coalition C acts at time t, every subcoalition has
-// already processed its own events at t, so its value v(C', t) is current.
-// Between events, engines advance by closed-form accrual only (a greedy
-// algorithm makes no decision while no machine frees and no job arrives),
-// which makes the event-driven run identical to the paper's per-time-moment
-// loop.
+// schedules *at the same time moment* (Definition 3.1). All 2^k-1 engines
+// run on the one wake-up loop of sched/coalition_bank.h, shared with RAND,
+// which orders them by (time, coalition size) and makes each v(C', t) an
+// O(1) read when C acts at t. Between events, engines advance by
+// closed-form accrual only (a greedy algorithm makes no decision while no
+// machine frees and no job arrives), which makes the event-driven run
+// identical to the paper's per-time-moment loop.
 //
 // Complexity per decision *burst* of a size-s coalition: O(2^s * s) for the
 // hoisted Shapley subset formula (the contribution vector cannot change
@@ -29,7 +28,6 @@
 // accounting. Memory O(2^k) engines. The constructor rejects k > 16.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/coalition.h"
@@ -37,6 +35,7 @@
 #include "core/schedule.h"
 #include "core/types.h"
 #include "metrics/utility.h"
+#include "sched/coalition_bank.h"
 #include "sim/engine.h"
 
 namespace fairsched {
@@ -86,32 +85,32 @@ class RefScheduler {
   // --- results (valid after run) -----------------------------------------
   const Schedule& schedule() const { return grand_engine().schedule(); }
   // The reference fair utility vector psi* (2*psi per organization).
-  std::vector<HalfUtil> utilities2() const;
+  std::vector<HalfUtil> utilities2() const {
+    return grand_engine().utilities2();
+  }
   // p_tot: completed unit parts in the fair schedule by the horizon.
   std::int64_t reference_work() const { return grand_engine().total_work_done(); }
   // Shapley contributions phi(u) (time units) of the grand coalition at the
   // horizon — the ideal fair division REF chases.
   std::vector<double> contributions() const;
   // Access to any subcoalition's engine (diagnostics, tests).
-  const Engine& engine(Coalition c) const { return *engines_[c.mask()]; }
+  const Engine& engine(Coalition c) const { return bank_.engine(c.mask()); }
 
  private:
-  const Engine& grand_engine() const { return *engines_[grand_.mask()]; }
-  Engine& engine_mut(Coalition c) { return *engines_[c.mask()]; }
-
-  // Processes coalition `c`'s due events at time t and makes its scheduling
-  // decisions; subcoalitions are brought to time t first.
-  void process_coalition_at(Coalition c, Time t);
+  // The grand coalition's mask is the highest, so its slot is the last.
+  const Engine& grand_engine() const { return bank_.engine(bank_.size() - 1); }
 
   // Contributions phi2 (in half-units, doubles because of the factorial
   // weights) of the members of `relevant` (a subset of `c`) from the
-  // subcoalition values at time t (valid when no subcoalition has
-  // unprocessed events at or before t). Entries outside `relevant` are
-  // left at zero — each phi2[u] is an independent accumulator, so
-  // restricting the set changes nothing about the computed values.
-  // Returns a reference to a scratch buffer overwritten by the next call.
+  // subcoalition values at time t (valid under the bank's invariant, or at
+  // the horizon after run()).
   const std::vector<double>& contributions2_of(Coalition c, Time t,
                                                Coalition relevant) const;
+  // The Shapley subset formula (Eq. 1) over the values vcache_ holds for
+  // every nonempty subset of `c`. Entries outside `relevant` are left at
+  // zero. Returns a reference to a scratch buffer overwritten by the next
+  // call.
+  const std::vector<double>& shapley_of(Coalition c, Coalition relevant) const;
 
   // Distance rule of Fig. 1 for the generic utility: the (doubled) distance
   // after tentatively starting `u`'s front job at time t.
@@ -119,28 +118,17 @@ class RefScheduler {
                           const std::vector<double>& phi,
                           const std::vector<double>& psi) const;
 
-  // Fig. 3 rule with the per-burst contribution vector hoisted by
-  // process_coalition_at (phi2 cannot change while the clock stands still).
-  OrgId select_sp(Coalition c, const std::vector<double>& phi2) const;
   // Fig. 1 Distance rule for the generic utility; evaluated per decision.
   OrgId select_generic(Coalition c, Time t);
 
   const Instance* inst_;
   RefOptions options_;
-  Coalition grand_;
-  std::vector<std::unique_ptr<Engine>> engines_;  // indexed by mask; [0] null
-  std::vector<ShapleyWeights> weights_;           // per coalition size 1..k
-  // Per-burst scratch for contributions2_of: subcoalition values indexed by
-  // mask, and the returned contribution vector (both overwritten per call).
+  CoalitionBank bank_;                   // slot = mask
+  std::vector<ShapleyWeights> weights_;  // per coalition size 1..k
+  // Per-burst scratch for shapley_of: subcoalition values indexed by mask,
+  // and the returned contribution vector (both overwritten per call).
   mutable std::vector<double> vcache_;
-  mutable std::vector<double> phi2_scratch_;
-  // Write-through aggregate mirrors, indexed by mask: each engine refreshes
-  // its slot whenever its aggregates change, so the Shapley pass reads all
-  // 2^s subcoalition values from one flat array (cache-friendly) instead of
-  // dereferencing 2^s scattered engine objects. Never resized after the
-  // constructor registers the slots.
-  std::vector<Engine::AggSnapshot> agg_;
-  bool ran_ = false;
+  mutable std::vector<double> phi_scratch_;
 };
 
 }  // namespace fairsched

@@ -32,7 +32,7 @@ Instance random_instance(std::uint64_t seed, std::uint32_t max_orgs,
     const std::uint32_t m =
         static_cast<std::uint32_t>(rng.uniform_u64(4));
     total_machines += m;
-    b.add_org("o" + std::to_string(u), m);
+    b.add_org(std::string("o").append(std::to_string(u)), m);
   }
   if (total_machines == 0) b.add_org("backbone", 2);
   const std::size_t jobs = 5 + rng.uniform_u64(60);

@@ -67,7 +67,8 @@ TEST(Json, RejectsMalformedDocuments) {
 
 TEST(Json, EscapeAndParseRoundTripStrings) {
   const std::string nasty = "quote\" back\\slash\nnew\tline\x01ctrl";
-  const std::string doc = "\"" + json_escape(nasty) + "\"";
+  const std::string doc =
+      std::string("\"").append(json_escape(nasty)).append("\"");
   EXPECT_EQ(parse_json(doc).as_string(), nasty);
 }
 

@@ -267,7 +267,7 @@ Instance random_instance(std::uint64_t seed) {
   for (std::uint32_t u = 0; u < k; ++u) {
     const std::uint32_t m = static_cast<std::uint32_t>(rng.uniform_u64(3));
     total_machines += m;
-    b.add_org("o" + std::to_string(u), m);
+    b.add_org(std::string("o").append(std::to_string(u)), m);
   }
   if (total_machines == 0) b.add_org("backbone", 2);
   const std::uint64_t jobs = 20 + rng.uniform_u64(60);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/scenarios.h"
+#include "exp/sweep.h"
 #include "metrics/utility.h"
+#include "util/rng.h"
 #include "workload/synthetic.h"
 
 namespace fairsched {
@@ -14,7 +17,7 @@ Instance symmetric_instance(std::uint32_t k, std::uint32_t jobs_per_org,
                             Time processing) {
   InstanceBuilder b;
   for (std::uint32_t u = 0; u < k; ++u) {
-    b.add_org("o" + std::to_string(u), 1);
+    b.add_org(std::string("o").append(std::to_string(u)), 1);
   }
   for (std::uint32_t i = 0; i < jobs_per_org; ++i) {
     for (std::uint32_t u = 0; u < k; ++u) {
@@ -196,6 +199,34 @@ TEST(Ref, ReferenceWorkCountsCompletedParts) {
   RefScheduler ref(inst);
   ref.run(9);
   EXPECT_EQ(ref.reference_work(), completed_work(inst, ref.schedule(), 9));
+}
+
+TEST(Ref, RefScalingSmokeWorkIsPinned) {
+  // The instance `ref-scaling --smoke` times (the orgs sweep's largest
+  // point, instance 0). REF's engine work summed over all 2^k - 1
+  // coalitions is deterministic, so any change to the event stream or the
+  // decision sequence shows here; bench/baselines/ref-scaling.json records
+  // the same totals for the CI perf gate.
+  exp::ScenarioOptions options;
+  options.smoke = true;
+  const exp::SweepSpec spec = exp::make_ref_scaling_sweeps(options).front();
+  exp::SweepWorkload workload = spec.workloads[0];
+  workload.orgs = static_cast<std::uint32_t>(spec.axes[0].values.back());
+  const Instance inst = exp::make_workload_instance(workload, spec.horizon,
+                                                    mix_seed(spec.seed, 0));
+  RefScheduler ref(inst);
+  ref.run(spec.horizon);
+  std::uint64_t events = 0;
+  std::uint64_t decisions = 0;
+  const Coalition grand = Coalition::grand(inst.num_orgs());
+  for (Coalition::Mask mask = 1; mask <= grand.mask(); ++mask) {
+    events += ref.engine(Coalition(mask)).events_processed();
+    decisions += ref.engine(Coalition(mask)).decisions_made();
+  }
+  EXPECT_EQ(inst.num_orgs(), 4u);
+  EXPECT_EQ(spec.horizon, 500);
+  EXPECT_EQ(events, 392u);
+  EXPECT_EQ(decisions, 248u);
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST(Thm53, OrderedVsReversedDistanceApproachesOne) {
     const Time p = 4;
     InstanceBuilder b;
     for (std::uint32_t u = 0; u < m; ++u) {
-      b.add_org("o" + std::to_string(u), u == 0 ? 1 : 0);
+      b.add_org(std::string("o").append(std::to_string(u)), u == 0 ? 1 : 0);
       b.add_job(u, 0, p);
     }
     const Instance inst = std::move(b).build();
@@ -221,7 +221,7 @@ TEST(Thm62, AllGreedyPoliciesWithinThreeQuartersOfEachOther) {
     InstanceBuilder b;
     const std::uint32_t k = 2 + static_cast<std::uint32_t>(seed % 3);
     for (std::uint32_t u = 0; u < k; ++u) {
-      b.add_org("o" + std::to_string(u),
+      b.add_org(std::string("o").append(std::to_string(u)),
                 1 + static_cast<std::uint32_t>(rng.uniform_u64(2)));
     }
     const std::size_t jobs = 12 + rng.uniform_u64(20);

@@ -86,8 +86,8 @@ SourceHandle open_source(const ScenarioOptions& options) {
 // Resolves --policy (after --config registered any config-defined
 // entries) and rejects the shapes serve mode cannot drive: whole-schedule
 // algorithms (REF/RAND) re-plan globally instead of deciding per event,
-// and kRandomFree entries (DIRECTCONTR) need the legacy presorted-release
-// engine structures.
+// and kRandomFree entries (DIRECTCONTR) run the engine's batch-only
+// time-ordered completion heap.
 std::unique_ptr<Policy> make_serve_policy(const ScenarioOptions& options,
                                           std::string* canonical) {
   if (!options.config_path.empty()) {

@@ -19,12 +19,13 @@
 //     degrade to the historical O(n)-per-decision cost, never to a wrong
 //     answer.
 //
-//   * KeyedArgmin<Key> — a tournament tree over organization ids with an
-//     explicit priority key per id. argmin() is O(1), set()/clear() are
-//     O(log n). Ties on equal keys resolve to the LOWER id, which is
-//     exactly the "first strict improvement wins" rule of the scan loops
-//     these trees replace — so scan and tree agree bit-for-bit as long as
-//     the key is computed by the same expression the scan used.
+//   * KeyedArgmin<Key> (sim/keyed_argmin.h, shared with the engine) — a
+//     tournament tree over organization ids with an explicit priority key
+//     per id. argmin() is O(1), set()/clear() are O(log n). Ties on equal
+//     keys resolve to the LOWER id, which is exactly the "first strict
+//     improvement wins" rule of the scan loops these trees replace — so
+//     scan and tree agree bit-for-bit as long as the key is computed by
+//     the same expression the scan used.
 //
 //   * OrderStatSet — a Fenwick-backed set of organization ids supporting
 //     O(log n) insert/erase/count_below/kth. Backs ROUNDROBIN (first member
@@ -33,9 +34,9 @@
 //     the scan used to build, so one uniform draw indexes identically).
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "sim/keyed_argmin.h"
 #include "sim/policy.h"
 
 namespace fairsched {
@@ -79,61 +80,6 @@ class IncrementalPolicy : public Policy {
  private:
   std::uint64_t synced_version_ = 0;
   bool ready_ = false;
-};
-
-// Tournament (winner) tree: argmin of Key over a dense id range, ties to
-// the lower id. Key needs operator<.
-template <typename Key>
-class KeyedArgmin {
- public:
-  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
-
-  void init(std::uint32_t n) {
-    base_ = 1;
-    while (base_ < n) base_ <<= 1;
-    keys_.assign(base_, Key{});
-    present_.assign(base_, 0);
-    win_.assign(2 * base_, kNone);
-  }
-
-  void set(std::uint32_t i, Key key) {
-    keys_[i] = std::move(key);
-    present_[i] = 1;
-    win_[base_ + i] = i;
-    pull_up(i);
-  }
-
-  void clear(std::uint32_t i) {
-    if (!present_[i]) return;
-    present_[i] = 0;
-    win_[base_ + i] = kNone;
-    pull_up(i);
-  }
-
-  // Id with the smallest key (lowest id on ties), kNone when empty.
-  std::uint32_t argmin() const { return win_[1]; }
-
- private:
-  bool better(std::uint32_t a, std::uint32_t b) const {
-    if (b == kNone) return true;
-    if (a == kNone) return false;
-    if (keys_[a] < keys_[b]) return true;
-    if (keys_[b] < keys_[a]) return false;
-    return a < b;
-  }
-
-  void pull_up(std::uint32_t i) {
-    for (std::size_t node = (base_ + i) >> 1; node >= 1; node >>= 1) {
-      const std::uint32_t left = win_[2 * node];
-      const std::uint32_t right = win_[2 * node + 1];
-      win_[node] = better(left, right) ? left : right;
-    }
-  }
-
-  std::size_t base_ = 1;
-  std::vector<Key> keys_;
-  std::vector<char> present_;
-  std::vector<std::uint32_t> win_;
 };
 
 // Order-statistics set over a dense id range (Fenwick tree of membership).

@@ -1,6 +1,6 @@
 #pragma once
 
-// Calendar queue for the engine's unified event stream.
+// Calendar queue for the engine's pending completions.
 //
 // A calendar queue (R. Brown, "Calendar queues: a fast O(1) priority queue
 // implementation for the simulation event set problem", CACM 1988) hashes
@@ -9,53 +9,53 @@
 // current day and wraps into the next year when a bucket holds only events
 // for later years. With the width kept near the average inter-event gap by
 // doubling/halving the bucket count as the population grows and shrinks,
-// both operations are O(1) amortized — replacing the engine's former
-// sorted-release pointer + binary-heap completion queue pair with one
-// structure and one ordering rule.
+// both operations are O(1) amortized. A kFirstFree engine (sim/engine.h)
+// holds the completions of its running jobs here; its releases come from a
+// per-organization release tree instead, merged with this queue's top in
+// the order below.
 //
 // --- Event tie-break (single source of truth) ------------------------------
 //
 // `event_before` below is the ONE definition of simultaneous-event order for
-// the whole engine (previously implicit in two separate queue comparators):
+// the whole engine:
 //
 //   1. time        — earlier events first;
-//   2. kind        — completions before releases (matching the historical
-//                    advance_to contract: machines freed at t are available
-//                    to jobs arriving at t);
+//   2. kind        — completions before releases (machines freed at t are
+//                    available to jobs arriving at t);
 //   3. org         — lower organization id first;
 //   4. index       — lower per-organization job index first.
 //
 // (time, kind, org, index) is unique per event — a job has one release and
 // one completion — so the order is total and the drain sequence is fully
 // deterministic regardless of insertion order; tests/test_calendar_queue.cc
-// pins this. The one deliberate exception is documented in sim/engine.h:
-// engines running with MachinePick::kRandomFree keep the legacy
-// time-only completion heap, whose same-time pop order feeds the random
-// machine draw and is therefore part of the published RNG stream.
+// pins this, and Engine.NotificationOrderIsEventBefore (tests/test_engine.cc)
+// pins the engine's merged stream to it. The one deliberate exception is
+// documented in sim/engine.h: engines running with MachinePick::kRandomFree
+// keep a time-only completion heap, whose same-time pop order feeds the
+// random machine draw and is therefore part of the published RNG stream.
 //
 // The structure itself is generic (BasicCalendarQueue): any entry type with
 // a non-negative `time` field and a strict total order refining time works.
-// The engine instantiates it for EngineEvent. (Note: a calendar queue wants
-// a population whose times spread over many buckets — a small set of
-// near-simultaneous entries degenerates into one long bucket, which is why
-// REF's 2^k-coalition wake-up loop uses a tournament tree instead.)
+// (A calendar queue wants a population whose times spread over many buckets
+// — a small set of near-simultaneous entries degenerates into one long
+// bucket, which is why REF's 2^k-coalition wake-up loop uses a tournament
+// tree instead.)
 //
 // Buckets are skew heaps (top-down self-adjusting min-heaps) over all nodes
 // in one pooled array recycled through a free list: pushes and pops never
-// touch the allocator in steady state — the pool only grows to the peak
-// number of pending events. A bucket's root is its minimum, so push and pop
-// cost O(log occupancy) amortized even when the population defeats the
-// bucket geometry. That matters because the bucket width cannot drop below
-// one time unit: an open workload with thousands of arrivals per integer
-// timestamp (the serve smoke load) piles thousands of events into a handful
-// of buckets, where the sorted-list buckets this replaced paid an O(occupancy)
-// insertion walk per push and the heap pays ~log2(occupancy) node visits.
-// With O(1) expected occupancy the heap degenerates gracefully back to a
-// couple of pointer swaps per operation. The drain order is unchanged in
-// every case: the comparator is a strict total order, so the bucket minimum
-// is unique and the pop sequence cannot depend on the heap's internal shape
-// or the insertion order. Times must be non-negative, as everywhere in the
-// simulator.
+// touch the allocator in steady state. A bucket's root is its minimum, so
+// push and pop cost O(log occupancy) amortized even when the population
+// defeats the bucket geometry. That matters because the bucket width cannot
+// drop below one time unit, and completions come in same-time bursts: jobs
+// started together with equal processing times finish together, so a large
+// platform (the serve-100k load runs 10^5 machines) piles thousands
+// of completions into one timestamp's bucket. A sorted-list bucket would
+// pay an O(occupancy) insertion walk per push there; the heap pays ~log2
+// (occupancy) node visits, and with O(1) occupancy it degenerates to a
+// couple of pointer swaps. The drain order is unchanged in every case: the
+// comparator is a strict total order, so the bucket minimum is unique and
+// the pop sequence cannot depend on the heap's shape or insertion order.
+// Times must be non-negative, as everywhere in the simulator.
 
 #include <cassert>
 #include <cstddef>
@@ -70,7 +70,8 @@ namespace fairsched {
 // kRelease (see the tie-break above); the enum values encode that.
 enum class EventKind : std::uint8_t { kCompletion = 0, kRelease = 1 };
 
-// One entry of the engine's unified event stream.
+// One engine event. The engine's calendar holds only kCompletion entries;
+// a kRelease entry names a release for event_before comparisons.
 struct EngineEvent {
   Time time = 0;
   EventKind kind = EventKind::kRelease;
@@ -316,7 +317,7 @@ class BasicCalendarQueue {
   mutable bool top_valid_ = false;
 };
 
-// The engine's unified event stream.
+// The engine's completion queue.
 using CalendarQueue = BasicCalendarQueue<EngineEvent>;
 
 }  // namespace fairsched

@@ -1,8 +1,8 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace fairsched {
 
@@ -14,58 +14,38 @@ Engine::Engine(const Instance& inst, Coalition active, EngineOptions options)
       released_(inst.num_orgs(), 0),
       started_(inst.num_orgs(), 0),
       completed_(inst.num_orgs(), 0),
+      release_end_(inst.num_orgs(), 0),
       accounts_(inst.num_orgs()),
       schedule_(inst.num_orgs()) {
-  const bool unified = options_.machine_pick == MachinePick::kFirstFree;
+  const bool first_free = options_.machine_pick == MachinePick::kFirstFree;
   if (options_.external_releases) {
-    if (!unified) {
+    if (!first_free) {
       throw std::invalid_argument(
-          "external_releases requires MachinePick::kFirstFree (the legacy "
-          "kRandomFree structures presort all releases at construction)");
+          "external_releases requires MachinePick::kFirstFree (the "
+          "kRandomFree path is batch-only)");
     }
-    injected_.assign(inst.num_orgs(), 0);
+    last_injected_release_.assign(inst.num_orgs(), 0);
   }
+  release_front_.init(inst.num_orgs());
   std::size_t release_count = 0;
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     if (!active_.contains(u)) continue;
     const auto jobs = inst.jobs_of(u);
     release_count += jobs.size();
-    if (options_.external_releases) {
-      // The workload is fed through inject_release; nothing to preload.
-    } else if (unified) {
-      // Streamed releases: the calendar holds only each organization's
-      // earliest un-admitted release (advance_to pushes the successor when
-      // one is consumed), so the live population stays at ~(member orgs +
-      // running jobs) instead of the whole workload. Per-org job lists are
-      // release-sorted, so the global minimum release is always present and
-      // the drain order equals the full-preload order.
-      if (!jobs.empty()) {
-        events_.push(
-            EngineEvent{jobs[0].release, EventKind::kRelease, u, 0, kNoMachine});
-      }
-    } else {
-      for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-        releases_.push_back(Release{jobs[i].release, u});
-      }
+    // External-releases mode learns of jobs through inject_release.
+    if (!options_.external_releases && !jobs.empty()) {
+      release_end_[u] = static_cast<std::uint32_t>(jobs.size());
+      release_front_.set(u, jobs[0].release);
     }
     total_machines_ += inst.machines_of(u);
   }
   schedule_.reserve(release_count);
-  if (!unified) {
-    // Legacy order: by time, ties by org (per-org job lists are already
-    // release-sorted, so stable sort keeps index order within an org).
-    std::stable_sort(releases_.begin(), releases_.end(),
-                     [](const Release& a, const Release& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.org < b.org;
-                     });
-  }
   // All machines of member organizations start free.
-  if (unified) free_set_.init(inst.total_machines());
+  if (first_free) free_set_.init(inst.total_machines());
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     if (!active_.contains(u)) continue;
     for (MachineId m = inst.machine_begin(u); m < inst.machine_end(u); ++m) {
-      if (unified) {
+      if (first_free) {
         free_set_.insert(m);
       } else {
         free_list_.push_back(m);
@@ -82,18 +62,6 @@ double Engine::share(OrgId u) const {
   if (total_machines_ == 0 || !active_.contains(u)) return 0.0;
   return static_cast<double>(inst_->machines_of(u)) /
          static_cast<double>(total_machines_);
-}
-
-Time Engine::next_event() const {
-  if (options_.machine_pick == MachinePick::kFirstFree) {
-    return events_.empty() ? kTimeInfinity : events_.top().time;
-  }
-  Time t = kTimeInfinity;
-  if (release_ptr_ < releases_.size()) {
-    t = std::min(t, releases_[release_ptr_].time);
-  }
-  if (!completions_.empty()) t = std::min(t, completions_.top().time);
-  return t;
 }
 
 void Engine::lazy_accrue(OrgId u) const {
@@ -151,10 +119,6 @@ void Engine::apply_completion(Time t, OrgId org, MachineId machine) {
   completed_[org]++;
   if (options_.machine_pick == MachinePick::kFirstFree) {
     free_set_.insert(machine);
-    // The applied completion is the earliest pending one (event_before
-    // refines time), so it is the top of the time heap.
-    assert(!completion_times_.empty() && completion_times_.top() == t);
-    completion_times_.pop();
   } else {
     free_list_.push_back(machine);
   }
@@ -166,39 +130,41 @@ void Engine::apply_completion(Time t, OrgId org, MachineId machine) {
   }
 }
 
-void Engine::apply_release(OrgId org) {
-  released_[org]++;
+void Engine::apply_release(OrgId u) {
+  const std::uint32_t next = ++released_[u];
+  if (next < release_end_[u]) {
+    release_front_.set(u, inst_->job(u, next).release);
+  } else {
+    release_front_.clear(u);
+  }
   waiting_total_++;
   events_processed_++;
   if (listener_ != nullptr) {
     PolicyView view(*this);
-    listener_->on_release(view, org);
+    listener_->on_release(view, u);
   }
 }
 
 void Engine::advance_to(Time t) {
   assert(t >= now_);
+  constexpr OrgId kNone = KeyedArgmin<Time>::kNone;
   if (options_.machine_pick == MachinePick::kFirstFree) {
-    // Unified stream: events due at or before t in event_before order.
-    while (!events_.empty() && events_.top().time <= t) {
-      const EngineEvent e = events_.pop();
-      advance_clock(e.time);
-      if (e.kind == EventKind::kCompletion) {
+    // Merge the two sources in event_before order: the earlier head first,
+    // the completion on equal times (the kind clause). Within each source
+    // the order is already event_before's (org, index).
+    for (;;) {
+      const OrgId u = release_front_.argmin();
+      const Time release =
+          u == kNone ? kTimeInfinity : release_front_.min_key();
+      if (!calendar_.empty() && calendar_.top().time <= release) {
+        if (calendar_.top().time > t) break;
+        const EngineEvent e = calendar_.pop();
+        advance_clock(e.time);
         apply_completion(e.time, e.org, e.machine);
       } else {
-        apply_release(e.org);
-        // Stream in the organization's next release (see the constructor).
-        // In external-releases mode the driver injects every release
-        // itself, so nothing is streamed here.
-        if (!options_.external_releases) {
-          const auto jobs = inst_->jobs_of(e.org);
-          const std::uint32_t next_i = e.index + 1;
-          if (next_i < jobs.size()) {
-            events_.push(EngineEvent{jobs[next_i].release,
-                                     EventKind::kRelease, e.org, next_i,
-                                     kNoMachine});
-          }
-        }
+        if (u == kNone || release > t) break;
+        advance_clock(release);
+        apply_release(u);
       }
     }
     advance_clock(t);
@@ -210,16 +176,16 @@ void Engine::advance_to(Time t) {
   // bookkeeping (no accrual, no machine state), so processing them after
   // later-timed completions is state-equivalent to interleaving.
   while (!completions_.empty() && completions_.top().time <= t) {
-    const Completion c = completions_.top();
+    const EngineEvent c = completions_.top();
     completions_.pop();
     advance_clock(c.time);
     apply_completion(c.time, c.org, c.machine);
   }
   advance_clock(t);
-  while (release_ptr_ < releases_.size() &&
-         releases_[release_ptr_].time <= t) {
-    apply_release(releases_[release_ptr_].org);
-    release_ptr_++;
+  for (OrgId u = release_front_.argmin();
+       u != kNone && release_front_.min_key() <= t;
+       u = release_front_.argmin()) {
+    apply_release(u);
   }
 }
 
@@ -232,7 +198,7 @@ Time Engine::inject_release(OrgId u) {
     throw std::logic_error(
         "inject_release: organization is not in the active coalition");
   }
-  const std::uint32_t index = injected_[u];
+  const std::uint32_t index = release_end_[u];
   if (index >= inst_->jobs_of(u).size()) {
     throw std::logic_error(
         "inject_release: no un-injected job (append to the instance "
@@ -244,9 +210,22 @@ Time Engine::inject_release(OrgId u) {
         "inject_release: release is in the engine's past (events must be "
         "fed in nondecreasing time order)");
   }
-  injected_[u]++;
-  events_.push(
-      EngineEvent{job.release, EventKind::kRelease, u, index, kNoMachine});
+  // The release tree admits each organization's jobs in index order, which
+  // is time order only if every org's releases are nondecreasing.
+  if (job.release < last_injected_release_[u]) {
+    throw std::logic_error(
+        std::string("inject_release: organization ")
+            .append(std::to_string(u))
+            .append(" job ")
+            .append(std::to_string(index))
+            .append(" is released before the organization's previously "
+                    "injected job"));
+  }
+  last_injected_release_[u] = job.release;
+  release_end_[u]++;
+  // A pending front stays the front: only an org with nothing pending is
+  // re-keyed.
+  if (released_[u] == index) release_front_.set(u, job.release);
   return job.release;
 }
 
@@ -284,12 +263,12 @@ MachineId Engine::start_front(OrgId u) {
   accounts_[owner].busy_machines++;
   agg_.running++;
   sync_mirror();
+  const EngineEvent done{now_ + job.processing, EventKind::kCompletion, u,
+                         index, m};
   if (options_.machine_pick == MachinePick::kFirstFree) {
-    events_.push(EngineEvent{now_ + job.processing, EventKind::kCompletion, u,
-                             index, m});
-    completion_times_.push(now_ + job.processing);
+    calendar_.push(done);
   } else {
-    completions_.push(Completion{now_ + job.processing, m, u, index});
+    completions_.push(done);
   }
   schedule_.add(Placement{u, index, now_, m});
   decisions_++;

@@ -27,20 +27,28 @@
 //
 // --- Event queue and tie-break ---------------------------------------------
 //
-// Releases and completions feed one unified event stream held in a calendar
-// queue (sim/calendar_queue.h) with O(1) amortized push/pop. Simultaneous
-// events are ordered by the single tie-break rule defined ONCE as
-// `event_before` in that header: (time, completions-before-releases, org,
-// index). Deliberate exception: with MachinePick::kRandomFree the engine
-// keeps the historical structures (sorted release list + time-only binary
-// heap of completions). That heap's same-time pop order determines the
-// order machines return to the free list, which the random machine draw
-// indexes into — i.e. it is part of the published RNG stream of
-// DIRECTCONTR runs and cannot change without changing results. kFirstFree
-// engines (every other policy, REF, RAND — the performance-critical paths)
-// use the calendar queue, where same-time completion order is unobservable:
-// machines re-enter an id-ordered free set and all accounting is
-// commutative within one timestamp.
+// Events come from two sources, merged in the one tie-break order defined
+// as `event_before` in sim/calendar_queue.h: (time, completions-before-
+// releases, org, index).
+//   * Completions: a calendar queue (sim/calendar_queue.h) of the running
+//     jobs' completions, drained in event_before order; its top is
+//     next_completion().
+//   * Releases: per-organization job lists are release-sorted, so member
+//     u's next release is job(u, released(u)), pending while released(u) is
+//     below the releases the engine knows of (u's job list, or the
+//     injections so far in external-releases mode). A KeyedArgmin tree
+//     (sim/keyed_argmin.h) over org ids keyed by that release time, ties to
+//     the lower id, yields the next release; admitting one re-keys one org.
+// advance_to takes the earlier head, the completion on equal times, so
+// machines freed at t serve jobs arriving at t. Deliberate exception: with
+// MachinePick::kRandomFree the completions sit in a time-only binary heap
+// instead. Its same-time pop order sets the order machines return to the
+// free list, which the random machine draw indexes into — part of the
+// published RNG stream of DIRECTCONTR runs. Such an engine applies all due
+// completions in heap order, then all due releases from the same tree.
+// kFirstFree engines (every other policy, REF, RAND) use the calendar,
+// where same-time completion order is unobservable: machines re-enter an
+// id-ordered free set and all accounting commutes within one timestamp.
 //
 // The engine is a manually steppable state machine (advance_to /
 // start_front) so that the ensemble schedulers can interleave many engines
@@ -59,6 +67,7 @@
 // accruals forward through mutable state, so concurrent reads of one
 // engine are not safe (the sweep executors give every run its own engine).
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -68,6 +77,7 @@
 #include "core/schedule.h"
 #include "core/types.h"
 #include "sim/calendar_queue.h"
+#include "sim/keyed_argmin.h"
 #include "sim/policy.h"
 #include "util/rng.h"
 
@@ -83,15 +93,13 @@ struct EngineOptions {
   MachinePick machine_pick = MachinePick::kFirstFree;
   std::uint64_t seed = 0;  // used only for kRandomFree
   // Serve-mode seam (src/serve): the workload is not known at
-  // construction. The engine preloads no releases; the driver grows the
-  // instance's per-organization job lists (serve::LiveInstance) and feeds
-  // each release through inject_release as it learns of it. Requires
-  // kFirstFree (the legacy kRandomFree structures presort all releases at
-  // construction). Events injected up to any time T and then drained
-  // produce the exact state and event order a preloaded engine reaches at
-  // T — the calendar's drain order depends only on event_before, never on
-  // insertion order — which is what makes serve-vs-batch replay
-  // byte-identical (tests/test_serve_replay.cc).
+  // construction. The driver grows the instance's per-organization job
+  // lists (serve::LiveInstance) and makes each release visible through
+  // inject_release as it learns of it. Requires kFirstFree. Events injected
+  // up to any time T and then drained produce the exact state and event
+  // order a batch engine reaches at T — both sources drain in event_before
+  // order whatever the injection order across organizations — which is what
+  // makes serve-vs-batch replay byte-identical (tests/test_serve_replay.cc).
   bool external_releases = false;
 };
 
@@ -108,13 +116,16 @@ class Engine {
 
   // Earliest pending event (release or completion) strictly after now(), or
   // kTimeInfinity when the engine is drained.
-  Time next_event() const;
+  Time next_event() const {
+    const Time completion = next_completion();
+    if (release_front_.argmin() == KeyedArgmin<Time>::kNone) return completion;
+    return std::min(release_front_.min_key(), completion);
+  }
 
   // Earliest pending completion, or kTimeInfinity if no job is running.
   Time next_completion() const {
     if (options_.machine_pick == MachinePick::kFirstFree) {
-      return completion_times_.empty() ? kTimeInfinity
-                                       : completion_times_.top();
+      return calendar_.empty() ? kTimeInfinity : calendar_.top().time;
     }
     return completions_.empty() ? kTimeInfinity : completions_.top().time;
   }
@@ -162,12 +173,14 @@ class Engine {
 
   // External-releases mode only: makes organization u's next un-injected
   // job (FIFO index = number of injections so far) visible to the event
-  // stream. The job must already exist in the instance and its release
-  // must be >= now(); drivers feed arrivals in nondecreasing time order
-  // before advancing past them. Returns the injected release time.
+  // stream. The job must already exist in the instance, its release must
+  // be >= now() and >= the release of u's previously injected job; drivers
+  // feed arrivals in nondecreasing time order before advancing past them.
+  // Throws std::logic_error otherwise. Returns the injected release time.
   Time inject_release(OrgId u);
-  // Releases injected so far for u (external-releases mode bookkeeping).
-  std::uint32_t injected(OrgId u) const { return injected_[u]; }
+  // Releases of u visible to the event stream: the injections so far in
+  // external-releases mode, u's whole job list otherwise.
+  std::uint32_t injected(OrgId u) const { return release_end_[u]; }
 
   // --- state inspection --------------------------------------------------
   std::uint32_t num_orgs() const { return inst_->num_orgs(); }
@@ -265,15 +278,11 @@ class Engine {
   std::uint64_t state_version() const { return events_processed_ + decisions_; }
 
  private:
-  // Legacy completion entry for the kRandomFree path (time-only order; see
-  // the header note on the tie-break exception).
-  struct Completion {
-    Time time;
-    MachineId machine;
-    OrgId org;
-    std::uint32_t index;
-    bool operator>(const Completion& other) const {
-      return time > other.time;
+  // The kRandomFree completion heap's order: time only (see the header
+  // note on the tie-break exception).
+  struct LaterTime {
+    bool operator()(const EngineEvent& a, const EngineEvent& b) const {
+      return a.time > b.time;
     }
   };
 
@@ -302,7 +311,7 @@ class Engine {
   // Moves the clock (monotone) and notifies the listener.
   void advance_clock(Time t);
   void apply_completion(Time t, OrgId org, MachineId machine);
-  void apply_release(OrgId org);
+  void apply_release(OrgId u);
   MachineId pick_machine();
 
   const Instance* inst_;
@@ -310,27 +319,14 @@ class Engine {
   EngineOptions options_;
   Rng rng_;
 
-  // Unified event stream (kFirstFree engines): releases preloaded at
-  // construction, completions pushed as jobs start.
-  CalendarQueue events_;
-  // Pending completion times of the unified stream (duplicating the times
-  // of the calendar's completion entries): O(1) next_completion() for the
-  // wake-skipping of next_decision_time(), which the mixed-kind calendar
-  // cannot answer cheaply.
-  std::priority_queue<Time, std::vector<Time>, std::greater<Time>>
-      completion_times_;
-
-  // Legacy kRandomFree structures (see header note). Releases of active
-  // organizations sorted by (time, org); completions in a time-only heap.
-  struct Release {
-    Time time;
-    OrgId org;
-  };
-  std::vector<Release> releases_;
-  std::size_t release_ptr_ = 0;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<Completion>>
+  // Pending completions, kFirstFree engines (see the header note).
+  CalendarQueue calendar_;
+  // Pending completions, kRandomFree engines: the time-only heap.
+  std::priority_queue<EngineEvent, std::vector<EngineEvent>, LaterTime>
       completions_;
+  // Member organizations with a pending release, keyed by the release time
+  // of job(u, released_[u]); ties to the lower id (see the header note).
+  KeyedArgmin<Time> release_front_;
 
   // Free machines, kFirstFree flavor: a bitmap over machine ids with a
   // first-possibly-set-word hint. pop_min() returns the lowest free id —
@@ -366,9 +362,11 @@ class Engine {
   std::vector<std::uint32_t> released_;
   std::vector<std::uint32_t> started_;
   std::vector<std::uint32_t> completed_;
-  // External-releases mode: per-org count of releases handed to
-  // inject_release (empty otherwise).
-  std::vector<std::uint32_t> injected_;
+  // Jobs released_[u] .. release_end_[u]-1 are pending; release_end_ is a
+  // member's job count, or its injections so far in external mode.
+  std::vector<std::uint32_t> release_end_;
+  // External mode: each org's latest injected release (empty otherwise).
+  std::vector<Time> last_injected_release_;
   // mutable: const accessors fold lazy accruals forward (single-threaded;
   // see the header note).
   mutable std::vector<OrgAccount> accounts_;

@@ -343,5 +343,39 @@ TEST(ServeReplayTest, InjectReleaseGuardsItsPreconditions) {
   EXPECT_THROW(Engine(live.instance(), random_pick), std::invalid_argument);
 }
 
+// The engine admits each organization's releases in FIFO index order, which
+// is time order only while every org's injected releases are nondecreasing.
+// LiveInstance refuses such appends; the engine re-checks at injection, so
+// a driver that rewrites the instance behind the engine is caught too.
+TEST(ServeReplayTest, InjectReleaseRefusesOutOfOrderReleases) {
+  serve::LiveInstance live({1, 1});
+  EngineOptions options;
+  options.external_releases = true;
+  Engine engine(live.instance(), options);
+  live.append_job(0, 5, 1);
+  live.append_job(0, 5, 2);
+  EXPECT_EQ(engine.inject_release(0), 5);
+  EXPECT_EQ(engine.inject_release(0), 5);  // equal releases are fine
+  // Same platform, but organization 0's job 2 is released at 4, before the
+  // injected job 1 (release 5).
+  serve::LiveInstance rewritten({1, 1});
+  rewritten.append_job(0, 1, 1);
+  rewritten.append_job(0, 2, 1);
+  rewritten.append_job(0, 4, 1);
+  rewritten.append_job(1, 0, 1);
+  live = rewritten;
+  try {
+    engine.inject_release(0);
+    FAIL() << "out-of-order injection accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("organization 0 job 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.injected(0), 2u);
+  // Other organizations are unaffected.
+  EXPECT_EQ(engine.inject_release(1), 0);
+}
+
 }  // namespace
 }  // namespace fairsched

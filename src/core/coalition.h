@@ -61,8 +61,8 @@ class Coalition {
   // in increasing mask order.
   std::vector<Coalition> subsets() const;
 
-  // All subsets grouped by size s = 0..size(); REF processes coalitions in
-  // increasing size so subcoalition values are ready when needed.
+  // All subsets grouped by size s = 0..size(): Fig. 1's per-moment order,
+  // in which subcoalition schedules are ready when a coalition decides.
   std::vector<std::vector<Coalition>> subsets_by_size() const;
 
   friend constexpr bool operator==(Coalition, Coalition) = default;

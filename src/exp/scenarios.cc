@@ -263,13 +263,19 @@ ScenarioOptions scenario_options_from_flags(const Flags& flags) {
     }
     return value;
   };
+  // A flag that must fit the uint32 field it fills, in [lo, 2^32-1].
+  auto uint32_flag = [&flags](const char* name, std::int64_t fallback,
+                              std::int64_t lo) {
+    const std::int64_t value = flags.get_int(name, fallback);
+    if (value < lo || value > 4294967295) {
+      throw std::invalid_argument(std::string("--") + name + " must be in [" +
+                                  std::to_string(lo) + ", 2^32-1]");
+    }
+    return static_cast<std::uint32_t>(value);
+  };
   options.instances = static_cast<std::size_t>(non_negative("instances"));
   options.duration = non_negative("duration");
-  const std::int64_t orgs = flags.get_int("orgs", 5);
-  if (orgs < 1 || orgs > 4294967295) {
-    throw std::invalid_argument("--orgs must be in [1, 2^32-1]");
-  }
-  options.orgs = static_cast<std::uint32_t>(orgs);
+  options.orgs = uint32_flag("orgs", 5, 1);
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2013));
   options.scale = flags.get_double("scale", 0.0);
   if (flags.has("scale") && options.scale <= 0.0) {
@@ -300,13 +306,9 @@ ScenarioOptions scenario_options_from_flags(const Flags& flags) {
   options.policies = flags.get_string("policies", "");
   options.workload = flags.get_string("workload", "all");
   options.config_path = flags.get_string("config", "");
-  const std::int64_t jobs_per_org = flags.get_int("jobs-per-org", 0);
-  if (jobs_per_org < 0 || jobs_per_org > 4294967295) {
-    throw std::invalid_argument("--jobs-per-org must be in [0, 2^32-1]");
-  }
-  options.jobs_per_org = static_cast<std::uint32_t>(jobs_per_org);
-  options.min_orgs = static_cast<std::uint32_t>(non_negative("min-orgs"));
-  options.max_orgs = static_cast<std::uint32_t>(non_negative("max-orgs"));
+  options.jobs_per_org = uint32_flag("jobs-per-org", 0, 0);
+  options.min_orgs = uint32_flag("min-orgs", 0, 0);
+  options.max_orgs = uint32_flag("max-orgs", 0, 0);
   options.deviations = flags.get_string("deviations", "");
   options.deviator_orgs = flags.get_string("deviator-orgs", "");
   options.check_thm41 = flags.get_bool("check-thm41", false);
@@ -326,11 +328,7 @@ ScenarioOptions scenario_options_from_flags(const Flags& flags) {
   if (flags.has("arrival-rate") && !(options.arrival_rate > 0.0)) {
     throw std::invalid_argument("--arrival-rate must be positive");
   }
-  const std::int64_t machines_per_org = flags.get_int("machines-per-org", 1);
-  if (machines_per_org < 1 || machines_per_org > 4294967295) {
-    throw std::invalid_argument("--machines-per-org must be in [1, 2^32-1]");
-  }
-  options.machines_per_org = static_cast<std::uint32_t>(machines_per_org);
+  options.machines_per_org = uint32_flag("machines-per-org", 1, 1);
   options.orgs_explicit = flags.has("orgs");
   options.workers_spec = flags.get_string("workers", "");
   options.hosts_path = flags.get_string("hosts", "");

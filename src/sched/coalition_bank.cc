@@ -1,7 +1,6 @@
 #include "sched/coalition_bank.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "sched/org_index.h"
 
@@ -22,17 +21,16 @@ void CoalitionBank::run(
     const std::function<void(std::uint32_t slot, Time t)>& decide) {
   if (ran_) throw std::logic_error("CoalitionBank::run called twice");
   ran_ = true;
-  // KeyedArgmin breaks key ties toward the lower id, i.e. the lower slot. A
-  // slot's entry never goes stale: only processing a slot changes its own
-  // wake-up time. The tournament tree stays L1-resident and a re-arm is
-  // log2(slots) node updates.
-  KeyedArgmin<std::pair<Time, std::uint32_t>> queue;
+  // Keyed by wake-up time; KeyedArgmin breaks ties toward the lower id,
+  // i.e. the lower slot. A slot's entry never goes stale: only processing a
+  // slot changes its own wake-up time. The tournament tree stays
+  // L1-resident and a re-arm is log2(slots) node updates.
+  KeyedArgmin<Time> queue;
   queue.init(size());
   auto arm = [&](std::uint32_t slot) {
-    const Engine& e = *engines_[slot];
-    const Time t = e.next_decision_time();
+    const Time t = engines_[slot]->next_decision_time();
     if (t != kTimeInfinity && t < horizon) {
-      queue.set(slot, {t, e.active().size()});
+      queue.set(slot, t);
     } else {
       queue.clear(slot);
     }
@@ -40,7 +38,7 @@ void CoalitionBank::run(
   for (std::uint32_t slot = 0; slot < size(); ++slot) arm(slot);
   for (;;) {
     const std::uint32_t slot = queue.argmin();
-    if (slot == KeyedArgmin<std::pair<Time, std::uint32_t>>::kNone) break;
+    if (slot == KeyedArgmin<Time>::kNone) break;
     Engine& e = *engines_[slot];
     // The armed time: unchanged since arming, because no other slot's
     // processing touches this engine.

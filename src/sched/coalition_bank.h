@@ -1,18 +1,17 @@
 #pragma once
 
-// The coalition-simulation core shared by REF (Fig. 1 / Fig. 3) and RAND
-// (Fig. 6): one engine per slot (a coalition), a flat mirror of each
-// engine's value aggregates, and ONE wake-up loop; each scheduler supplies
-// only its per-slot decision. REF's slots are the masks 0..2^k-1 (slot =
-// mask); RAND's are its distinct sampled masks, ascending, then its
-// RAND-driven grand engine. The empty coalition's engine never wakes and
-// its value stays v({}) = 0, so readers need no special case for it.
+// The coalition-simulation core shared by REF (Fig. 3) and RAND (Fig. 6):
+// one engine per slot (a coalition), a flat mirror of each engine's value
+// aggregates, and ONE wake-up loop; each scheduler supplies only its
+// per-slot decision. REF's slots are the masks 0..2^k-1 (slot = mask);
+// RAND's are its distinct sampled masks, ascending, then its RAND-driven
+// grand engine. The empty coalition's engine never wakes and its value
+// stays v({}) = 0, so readers need no special case for it.
 //
-// Slots wake at their engine's next_decision_time() in (time, coalition
-// size, slot) order: within a time moment, Fig. 1's increasing size. While
-// no machine is free, releases cannot enable a decision, so the skipped
-// wake-ups are batch-processed, in identical order, by the advance_to of
-// the next completion-time wake.
+// Slots wake at their engine's next_decision_time() in (time, slot) order.
+// While no machine is free, releases cannot enable a decision, so the
+// skipped wake-ups are batch-processed, in identical order, by the
+// advance_to of the next completion-time wake.
 //
 // Invariant: when a slot decides at time t, every wake-up before t has been
 // processed, so no engine has an unprocessed completion before t and each
@@ -21,8 +20,8 @@
 // bit-identical to advancing that engine to t and reading value2(). Events
 // at t move no value at t (a job completing at t ran through slot t - 1;
 // one started at t has run nothing), so the read does not depend on which
-// same-time slots went first. The size order matters only to REF's
-// generic-utility path, which reads subcoalition schedules.
+// same-time slots went first, and a decision needs no engine but its own
+// slot's.
 
 #include <cstdint>
 #include <functional>
@@ -57,7 +56,8 @@ class CoalitionBank {
   // The wake-up loop: processes every slot's decisions before `horizon` in
   // the order above, then advances every engine to `horizon`. `decide` is
   // called when a slot's engine stands at t and needs a decision, and must
-  // start jobs until it needs none. May be called once.
+  // start jobs until it needs none; it may read any slot's value but must
+  // not advance another slot's engine. May be called once.
   void run(Time horizon,
            const std::function<void(std::uint32_t slot, Time t)>& decide);
 

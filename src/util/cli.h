@@ -6,7 +6,8 @@
 // Flags are written `--name=value` (or `--name value`). For every flag there
 // is an environment-variable fallback `FAIRSCHED_<NAME>` (upper-cased, dashes
 // turned into underscores) so the whole bench suite can be scaled up or down
-// without editing command lines, e.g. `FAIRSCHED_INSTANCES=100 ./bench_table1`.
+// without editing command lines, e.g.
+// `FAIRSCHED_INSTANCES=100 ./fairsched_exp table1`.
 
 #include <cstdint>
 #include <map>

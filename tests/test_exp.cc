@@ -19,6 +19,7 @@
 #include "exp/sweep_artifact.h"
 #include "exp/sweep_plan.h"
 #include "strategy/game.h"
+#include "util/cli.h"
 #include "util/csv.h"
 
 namespace fairsched::exp {
@@ -1284,6 +1285,28 @@ TEST(Scenarios, Fig10IsADeclarativeOrgsAxis) {
   smoke.smoke = true;
   EXPECT_LT(make_fig10_sweep(smoke).axes[0].values.size(),
             spec.axes[0].values.size());
+}
+
+TEST(Scenarios, OrgBoundFlagsRejectValuesPastUint32) {
+  // 2^32 + 2 used to wrap to 2 on its way into the uint32 field.
+  auto options_of = [](const char* flag) {
+    const char* argv[] = {"fig10", flag};
+    return scenario_options_from_flags(Flags(2, argv));
+  };
+  EXPECT_EQ(options_of("--max-orgs=4294967295").max_orgs, 4294967295u);
+  for (const char* name : {"min-orgs", "max-orgs"}) {
+    const std::string message =
+        std::string("--").append(name).append(" must be in [0, 2^32-1]");
+    for (const char* value : {"=4294967298", "=-1"}) {
+      const std::string flag = std::string("--").append(name).append(value);
+      try {
+        options_of(flag.c_str());
+        ADD_FAILURE() << flag << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), message);
+      }
+    }
+  }
 }
 
 TEST(Scenarios, HorizonGrowthIsADeclarativeHorizonAxis) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
+
 #include "exp/scenarios.h"
 #include "exp/sweep.h"
 #include "metrics/utility.h"
@@ -26,6 +31,189 @@ Instance symmetric_instance(std::uint32_t k, std::uint32_t jobs_per_org,
   }
   return std::move(b).build();
 }
+
+// A consortium that keeps its machines contended: one or two machines per
+// organization, jobs of 1..8 time units released over [0, 60).
+Instance contended_instance(std::uint32_t k, std::uint32_t jobs_per_org,
+                            std::uint64_t seed) {
+  InstanceBuilder b;
+  Rng rng(seed);
+  for (std::uint32_t u = 0; u < k; ++u) {
+    b.add_org(std::string("o").append(std::to_string(u)),
+              1 + static_cast<std::uint32_t>(rng.uniform_u64(2)));
+  }
+  for (std::uint32_t u = 0; u < k; ++u) {
+    for (std::uint32_t i = 0; i < jobs_per_org; ++i) {
+      b.add_job(u, static_cast<Time>(rng.uniform_u64(60)),
+                1 + static_cast<Time>(rng.uniform_u64(8)));
+    }
+  }
+  return std::move(b).build();
+}
+
+// A utility for Fig. 1's generic Distance rule: 2 * the utility of
+// organization `org` at time t in `schedule`, an exact integer (psi_sp is
+// a half-integer). Only the executed parts of jobs may influence the value
+// (non-clairvoyance).
+using HalfUtilityFn = HalfUtil (*)(const Instance& inst,
+                                   const Schedule& schedule, OrgId org,
+                                   Time t);
+
+// The strategy-proof utility psi_sp.
+HalfUtil sp_utility2(const Instance& inst, const Schedule& schedule, OrgId org,
+                     Time t) {
+  return sp_org_half_utility(inst, schedule, org, t);
+}
+
+// Throughput-like utility: completed unit parts (breaks the starting-times
+// anonymity axiom).
+HalfUtil completed_work_utility2(const Instance& inst,
+                                 const Schedule& schedule, OrgId org, Time t) {
+  HalfUtil total = 0;
+  const auto jobs = inst.jobs_of(org);
+  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
+    if (auto s = schedule.start_of(org, i)) {
+      if (*s < t) total += 2 * std::min<Time>(jobs[i].processing, t - *s);
+    }
+  }
+  return total;
+}
+
+std::int64_t factorial(std::uint32_t n) {
+  std::int64_t f = 1;
+  for (std::uint32_t i = 2; i <= n; ++i) f *= i;
+  return f;
+}
+
+// Eager transcription of Fig. 1, the reference the library REF (Fig. 3's
+// psi_sp specialisation on the event-driven coalition bank) is checked
+// against. At every time moment t it takes the coalitions in increasing
+// size, advances each one's engine to t and, while a machine is free and a
+// job waits, starts the job the Distance rule picks, re-reading every
+// utility off the subcoalitions' schedules for each decision. Nothing is
+// hoisted or skipped, and no code is shared with the library's decision
+// path.
+//
+// The rule runs in exact integer arithmetic: contributions scaled by |C|!
+// (Eq. 1's weights become integers) and the Euclidean distance by
+// (|C| * |C|!)^2. Fig. 1 leaves ties open. Among exactly tied candidates
+// the reference takes the largest floating-point deficit phi2 - psi2, Eq. 1
+// accumulated in the library's subset order, then the lowest id — the tie
+// rule Fig. 3 states, including the rounding that separates mathematically
+// equal contributions.
+class EagerRef {
+ public:
+  EagerRef(const Instance& inst, HalfUtilityFn utility2)
+      : inst_(&inst), utility2_(utility2) {
+    const Coalition grand = Coalition::grand(inst.num_orgs());
+    for (Coalition::Mask mask = 0; mask <= grand.mask(); ++mask) {
+      engines_.push_back(std::make_unique<Engine>(inst, Coalition(mask)));
+    }
+    for (const auto& same_size : grand.subsets_by_size()) {
+      for (Coalition c : same_size) {
+        if (!c.is_empty()) by_size_.push_back(c);
+      }
+    }
+  }
+
+  void run(Time horizon) {
+    for (Time t = 0; t < horizon; ++t) {
+      for (Coalition c : by_size_) {
+        Engine& e = *engines_[c.mask()];
+        e.advance_to(t);
+        while (e.needs_decision()) e.start_front(select(c, t));
+      }
+    }
+    for (auto& e : engines_) e->advance_to(horizon);
+  }
+
+  const Engine& engine(Coalition c) const { return *engines_[c.mask()]; }
+  const Schedule& schedule() const {
+    return engine(Coalition::grand(inst_->num_orgs())).schedule();
+  }
+
+ private:
+  HalfUtil utility2(const Schedule& schedule, OrgId u, Time t) const {
+    return utility2_(*inst_, schedule, u, t);
+  }
+
+  // 2 * v(c, t): the summed utility of c's members in c's own schedule.
+  HalfUtil value2(Coalition c, Time t) const {
+    HalfUtil v = 0;
+    for (OrgId u : c.members()) v += utility2(engine(c).schedule(), u, t);
+    return v;
+  }
+
+  // Eq. 1 over the subsets S of c that contain u:
+  //   phi2(u) = sum (|S|-1)! (|c|-|S|)! / |c|! * (v2(S) - v2(S \ {u})),
+  // once exactly times |c|!, once in floating point.
+  struct Contributions {
+    std::vector<std::int64_t> scaled;  // |c|! * phi2, exact
+    std::vector<double> rounded;       // phi2
+  };
+  Contributions contributions(Coalition c, Time t) const {
+    const ShapleyWeights w(c.size());
+    Contributions phi{std::vector<std::int64_t>(inst_->num_orgs(), 0),
+                      std::vector<double>(inst_->num_orgs(), 0.0)};
+    for_each_subset(c, [&](Coalition sub) {
+      for (OrgId u : sub.members()) {
+        const HalfUtil gain = value2(sub, t) - value2(sub.without(u), t);
+        phi.scaled[u] += factorial(sub.size() - 1) *
+                         factorial(c.size() - sub.size()) * gain;
+        phi.rounded[u] += w.weight(sub.size()) * static_cast<double>(gain);
+      }
+    });
+    return phi;
+  }
+
+  // The Distance rule: start the front job of the waiting member whose
+  // start leaves the contribution and utility vectors closest. Starting
+  // u's job changes u's utility, and so v(c), by delta (measured one step
+  // ahead: a job started at t has run nothing at t); Eq. 1 shares a change
+  // of v(c) alone equally, so every member's contribution moves by
+  // delta / |c|.
+  OrgId select(Coalition c, Time t) const {
+    const Engine& e = engine(c);
+    const Contributions phi = contributions(c, t);
+    const std::int64_t size = c.size();
+    const std::int64_t size_factorial = factorial(c.size());
+    OrgId best = kNoOrg;
+    __int128 best_dist = 0;
+    double best_deficit = 0.0;
+    for (OrgId u : c.members()) {
+      if (e.waiting(u) == 0) continue;
+      Schedule tentative = e.schedule();
+      tentative.add(
+          Placement{u, e.completed(u) + e.running(u), t, kNoMachine});
+      const HalfUtil delta2 = utility2(tentative, u, t + 1) -
+                              utility2(e.schedule(), u, t + 1);
+      // Each gap phi2 + delta2 / |c| - psi2 times |c| * |c|!.
+      __int128 dist = 0;
+      for (OrgId v : c.members()) {
+        const HalfUtil psi2_after =
+            utility2(e.schedule(), v, t) + (v == u ? delta2 : 0);
+        const __int128 gap = size * __int128{phi.scaled[v]} +
+                             size_factorial * __int128{delta2} -
+                             size * size_factorial * __int128{psi2_after};
+        dist += gap * gap;
+      }
+      const double deficit =
+          phi.rounded[u] - static_cast<double>(utility2(e.schedule(), u, t));
+      if (best == kNoOrg || dist < best_dist ||
+          (dist == best_dist && deficit > best_deficit)) {
+        best = u;
+        best_dist = dist;
+        best_deficit = deficit;
+      }
+    }
+    return best;
+  }
+
+  const Instance* inst_;
+  HalfUtilityFn utility2_;
+  std::vector<std::unique_ptr<Engine>> engines_;  // index = mask
+  std::vector<Coalition> by_size_;  // nonempty coalitions, increasing size
+};
 
 TEST(Ref, GrandScheduleFeasibleAndGreedy) {
   const Instance inst = make_synthetic_instance(
@@ -132,24 +320,30 @@ TEST(Ref, SingleOrganizationDegeneratesToFifo) {
 }
 
 TEST(Ref, GenericDistanceRuleMatchesSpecializedForSpUtility) {
-  // Fig. 1 (generic Distance with psi_sp) and Fig. 3 (specialized argmax of
-  // phi - psi) must produce the same schedule.
-  const Instance inst = make_synthetic_instance(
-      preset_lpc_egee(), 3, 400, MachineSplit::kUniform, 1.0, 43);
-  RefScheduler specialized(inst);
-  specialized.run(400);
+  // Fig. 1 (the eager per-moment Distance rule with psi_sp) and Fig. 3 (the
+  // library's event-driven argmax of phi - psi) must produce the same
+  // schedule in every coalition: on an archive-shaped window, and on
+  // contended consortia where the choice of organization matters at most
+  // decisions.
+  std::vector<std::pair<Instance, Time>> cases;
+  cases.emplace_back(make_synthetic_instance(preset_lpc_egee(), 3, 400,
+                                             MachineSplit::kUniform, 1.0, 43),
+                     400);
+  cases.emplace_back(contended_instance(3, 25, 43), 200);
+  cases.emplace_back(contended_instance(4, 20, 44), 200);
+  for (const auto& [inst, horizon] : cases) {
+    RefScheduler specialized(inst);
+    specialized.run(horizon);
+    EagerRef generic(inst, sp_utility2);
+    generic.run(horizon);
 
-  SpUtilityFn sp;
-  RefOptions options;
-  options.generic_utility = &sp;
-  RefScheduler generic(inst, options);
-  generic.run(400);
-
-  EXPECT_EQ(specialized.utilities2(), generic.utilities2());
-  EXPECT_EQ(specialized.schedule().placements().size(),
-            generic.schedule().placements().size());
-  for (const Placement& p : specialized.schedule().placements()) {
-    EXPECT_EQ(generic.schedule().start_of(p.org, p.index), p.start);
+    const Coalition grand = Coalition::grand(inst.num_orgs());
+    EXPECT_EQ(specialized.utilities2(), generic.engine(grand).utilities2());
+    for (Coalition::Mask mask = 1; mask <= grand.mask(); ++mask) {
+      EXPECT_EQ(specialized.engine(Coalition(mask)).schedule().placements(),
+                generic.engine(Coalition(mask)).schedule().placements())
+          << "k=" << inst.num_orgs() << " mask=" << mask;
+    }
   }
 }
 
@@ -157,27 +351,51 @@ TEST(Ref, GenericRuleSupportsOtherUtilities) {
   // The generic Distance rule (Fig. 1) must run with a non-psi_sp utility
   // and still produce a feasible greedy schedule — the paper's claim that
   // the fair-scheduling construction works "for arbitrary utilities".
-  const Instance inst = make_synthetic_instance(
-      preset_lpc_egee(), 3, 300, MachineSplit::kUniform, 1.0, 47);
-  CompletedWorkUtilityFn throughput;
-  RefOptions options;
-  options.generic_utility = &throughput;
-  RefScheduler ref(inst, options);
-  ref.run(300);
-  EXPECT_EQ(ref.schedule().validate(inst, 300), std::nullopt);
-  EXPECT_EQ(ref.schedule().size(),
-            static_cast<std::size_t>(ref.engine(Coalition::grand(3))
-                                         .completed(0) +
-                                     ref.engine(Coalition::grand(3))
-                                         .completed(1) +
-                                     ref.engine(Coalition::grand(3))
-                                         .completed(2) +
-                                     ref.engine(Coalition::grand(3))
-                                         .running(0) +
-                                     ref.engine(Coalition::grand(3))
-                                         .running(1) +
-                                     ref.engine(Coalition::grand(3))
-                                         .running(2)));
+  const Instance inst = contended_instance(3, 25, 47);
+  EagerRef ref(inst, completed_work_utility2);
+  ref.run(200);
+  EXPECT_EQ(ref.schedule().validate(inst, 200), std::nullopt);
+  const Engine& grand = ref.engine(Coalition::grand(3));
+  std::size_t started = 0;
+  for (OrgId u = 0; u < 3; ++u) {
+    started += grand.completed(u) + grand.running(u);
+  }
+  EXPECT_EQ(ref.schedule().size(), started);
+  EXPECT_GT(started, 0u);
+  for (Coalition::Mask mask = 1; mask < 8; ++mask) {
+    const Schedule& schedule = ref.engine(Coalition(mask)).schedule();
+    EXPECT_EQ(schedule.check_machine_exclusive(inst), std::nullopt)
+        << "mask=" << mask;
+    EXPECT_EQ(schedule.check_fifo(inst), std::nullopt) << "mask=" << mask;
+  }
+}
+
+TEST(CoalitionBank, WakesInTimeThenSlotOrder) {
+  // Every decide(slot, t) call comes in strictly increasing (t, slot)
+  // order: at t = 0 all fifteen coalitions wake, mask 3 = {0, 1} before
+  // mask 4 = {2} although it is the larger coalition.
+  const Instance inst = symmetric_instance(4, 3, 2);
+  std::vector<Coalition> slots;
+  for (Coalition::Mask mask = 0; mask < 16; ++mask) {
+    slots.push_back(Coalition(mask));
+  }
+  CoalitionBank bank(inst, slots);
+  std::vector<std::pair<Time, std::uint32_t>> wakes;
+  bank.run(20, [&](std::uint32_t slot, Time t) {
+    wakes.emplace_back(t, slot);
+    Engine& e = bank.engine(slot);
+    for (OrgId u = 0; e.needs_decision(); ++u) {
+      while (e.waiting(u) > 0 && e.needs_decision()) e.start_front(u);
+    }
+  });
+  ASSERT_GE(wakes.size(), 15u);
+  EXPECT_EQ(wakes[14], std::make_pair(Time{0}, std::uint32_t{15}));
+  for (std::size_t i = 1; i < wakes.size(); ++i) {
+    EXPECT_LT(wakes[i - 1], wakes[i])
+        << "wake " << i << ": (" << wakes[i].first << ", " << wakes[i].second
+        << ") after (" << wakes[i - 1].first << ", " << wakes[i - 1].second
+        << ")";
+  }
 }
 
 TEST(Ref, RunTwiceThrows) {

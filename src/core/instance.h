@@ -62,8 +62,8 @@ class Instance {
   double share_of(OrgId u) const;
 
   // A copy of this instance restricted to the organizations in `orgs`
-  // (given as org indices into *this*). Used by REF/RAND to build
-  // subcoalition worlds. Organization ids are preserved.
+  // (given as org indices into *this*), renumbered 0..|orgs|-1 in the
+  // given order.
   Instance restricted_to(const std::vector<OrgId>& orgs) const;
 
  private:

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,11 @@ struct Placement {
   MachineId machine = kNoMachine;
 
   friend bool operator==(const Placement&, const Placement&) = default;
+  // "(org, index, start, machine)": what a failing test comparison prints.
+  friend std::ostream& operator<<(std::ostream& os, const Placement& p) {
+    return os << '(' << p.org << ", " << p.index << ", " << p.start << ", "
+              << p.machine << ')';
+  }
 };
 
 class Schedule {

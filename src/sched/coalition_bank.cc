@@ -6,13 +6,12 @@
 
 namespace fairsched {
 
-CoalitionBank::CoalitionBank(const Instance& inst,
-                             const std::vector<Coalition>& slots)
-    : agg_(slots.size()) {
-  engines_.reserve(slots.size());
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    engines_.push_back(std::make_unique<Engine>(inst, slots[s]));
-    engines_.back()->mirror_aggregate(&agg_[s]);
+CoalitionBank::CoalitionBank(const Instance& inst)
+    : agg_(std::size_t{1} << inst.num_orgs()) {
+  engines_.reserve(agg_.size());
+  for (Coalition::Mask mask = 0; mask < agg_.size(); ++mask) {
+    engines_.push_back(std::make_unique<Engine>(inst, Coalition(mask)));
+    engines_.back()->mirror_aggregate(&agg_[mask]);
   }
 }
 

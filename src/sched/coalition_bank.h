@@ -1,12 +1,12 @@
 #pragma once
 
-// The coalition-simulation core shared by REF (Fig. 3) and RAND (Fig. 6):
-// one engine per slot (a coalition), a flat mirror of each engine's value
-// aggregates, and ONE wake-up loop; each scheduler supplies only its
-// per-slot decision. REF's slots are the masks 0..2^k-1 (slot = mask);
-// RAND's are its distinct sampled masks, ascending, then its RAND-driven
-// grand engine. The empty coalition's engine never wakes and its value
-// stays v({}) = 0, so readers need no special case for it.
+// REF's coalition-simulation core (Fig. 3): one engine per coalition, its
+// slot being its mask 0..2^k-1, a flat mirror of each engine's value
+// aggregates, and ONE wake-up loop; REF supplies only its per-slot
+// decision. The empty coalition's engine never wakes and its value stays
+// v({}) = 0, so readers need no special case for it. RAND needs no bank:
+// its sampled coalitions are FCFS list schedules (sched/rand_fair.h), and
+// only its Fig. 3 selection, start_by_deficit below, is shared.
 //
 // Slots wake at their engine's next_decision_time() in (time, slot) order.
 // While no machine is free, releases cannot enable a decision, so the
@@ -37,8 +37,8 @@ namespace fairsched {
 
 class CoalitionBank {
  public:
-  // One engine per entry of `slots`, in slot order.
-  CoalitionBank(const Instance& inst, const std::vector<Coalition>& slots);
+  // One engine per coalition of inst's organizations, slot = mask.
+  explicit CoalitionBank(const Instance& inst);
 
   std::uint32_t size() const {
     return static_cast<std::uint32_t>(engines_.size());
@@ -73,7 +73,11 @@ class CoalitionBank {
 
 // Fig. 3's selection, shared by REF and RAND: while `e` needs a decision,
 // starts the front job of the waiting organization maximizing
-// phi2[u] - psi2(u) (ties to the lower id). Starting a job at t moves no
+// phi2[u] - psi2(u). Deficits are compared as doubles, and only exactly
+// equal doubles go to the lower id: phi2 sums factorial-weighted doubles
+// (Eq. 1), so deficits equal in exact arithmetic may differ by a few ulps,
+// and then the rounding decides (pinned by
+// Ref.NearTieIsDecidedByFloatingPointRounding). Starting a job at t moves no
 // value at t, so the contributions cannot change while the clock stands
 // still and `phi2_of(waiting)` — the waiting orgs, the only entries read —
 // is called at most once per burst. When one org waits, every pick is

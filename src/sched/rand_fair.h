@@ -2,29 +2,26 @@
 
 // RAND (Fig. 6): randomized approximation of the fair schedule.
 //
-// N random orderings (permutations) of the organizations are drawn up
-// front. Every prefix of every ordering yields a pair of coalitions
-// (C', C' + u) for the organization u that follows the prefix; the Shapley
-// contribution of u is estimated as the average marginal value over its N
-// pairs (Eq. 2 sampled; Theorem 5.6's Hoeffding bound, rand_sample_bound
-// in shapley/shapley.h, gives the FPRAS for unit-size jobs).
+// N random orderings of the organizations are drawn up front. Every prefix
+// of every ordering yields a pair (C', C' + u) for the organization u that
+// follows it; u's Shapley contribution is estimated as its average marginal
+// value over its N pairs (Eq. 2 sampled; Theorem 5.6's Hoeffding bound,
+// rand_sample_bound in shapley/shapley.h, gives the FPRAS for unit jobs).
+// The grand engine starts the front job of the waiting organization
+// maximizing the estimated deficit phi(u) - psi(u): REF's Fig. 3 rule,
+// start_by_deficit in sched/coalition_bank.h.
 //
-// The value v(C') of a sampled coalition is read off a *simplified*
-// schedule maintained for it. For unit-size jobs any greedy schedule yields
-// the same value (Prop. 5.4), so the simplified schedules are driven by an
-// arbitrary greedy policy (FCFS here); with jobs of mixed sizes this is the
-// heuristic the paper evaluates in Section 7. Distinct permutation prefixes
-// that induce the same coalition share one engine.
-//
-// The real (grand-coalition) schedule starts the front job of the waiting
-// organization maximizing the estimated deficit phi(u) - psi(u), exactly as
-// REF does with the exact contributions.
-//
-// All engines run on REF's wake-up loop (sched/coalition_bank.h): each
-// sampled coalition with its own FCFS policy attached for the whole run,
-// then the grand engine as the last slot, which reads the sampled values
-// v(C', t) off the bank's mirror and selects with REF's Fig. 3 rule
-// (start_by_deficit, forced-choice fast path included).
+// v(C', t) is read off one fixed greedy schedule of C': any greedy schedule
+// gives the same value on unit jobs (Prop. 5.4); with mixed sizes this is
+// the Section 7 heuristic. The schedule is FCFS, which needs no engine:
+// each organization's jobs are release-sorted, so FCFS starts jobs in list
+// order (release, org, index), each at max(release, earliest machine free
+// time), i.e. Graham's list schedule (FcfsValueTrajectory). A monotone
+// cursor replays its sorted starts and completions, folding the aggregate
+// sums forward per event as the engine does (Engine::AggSnapshot). It is
+// all exact integer arithmetic, so each value equals the one an Engine
+// driven by FcfsPolicy reads. Distinct prefixes that induce the same
+// coalition share one trajectory.
 
 #include <cstdint>
 #include <vector>
@@ -33,8 +30,7 @@
 #include "core/instance.h"
 #include "core/schedule.h"
 #include "core/types.h"
-#include "sched/coalition_bank.h"
-#include "sched/fcfs.h"
+#include "sim/engine.h"
 
 namespace fairsched {
 
@@ -43,47 +39,61 @@ struct RandOptions {
   std::uint64_t seed = 1;
 };
 
+// t -> 2 * v(C, t) of coalition C's FCFS schedule up to `horizon`.
+class FcfsValueTrajectory {
+ public:
+  FcfsValueTrajectory(const Instance& inst, Coalition c, Time horizon);
+
+  // Reads must come at nondecreasing t <= horizon.
+  HalfUtil value2_at(Time t);
+
+ private:
+  // Sorted, each ending with a kTimeInfinity sentinel.
+  std::vector<Time> starts_;
+  std::vector<Time> completions_;
+  std::size_t next_start_ = 0;
+  std::size_t next_completion_ = 0;
+  Engine::AggSnapshot agg_;
+};
+
 class RandScheduler {
  public:
   RandScheduler(const Instance& inst, RandOptions options = {});
 
+  // May be called once.
   void run(Time horizon);
 
-  const Schedule& schedule() const { return grand().schedule(); }
-  std::vector<HalfUtil> utilities2() const { return grand().utilities2(); }
-  std::int64_t work_done() const { return grand().total_work_done(); }
+  const Schedule& schedule() const { return grand_.schedule(); }
+  std::vector<HalfUtil> utilities2() const { return grand_.utilities2(); }
+  std::int64_t work_done() const { return grand_.total_work_done(); }
   // Estimated contributions phi (time units) at the current clock.
   std::vector<double> contributions() const;
-  // Number of distinct nonempty sampled coalitions actually simulated (the
-  // bank also holds the empty coalition and the RAND-driven grand engine).
-  std::size_t distinct_coalitions() const { return bank_.size() - 2; }
+  // Number of distinct nonempty sampled coalitions.
+  std::size_t distinct_coalitions() const { return masks_.size() - 1; }
 
  private:
-  // The sampled pair (C', C' | u) of one permutation prefix, as bank slots.
+  // The sampled pair (C', C' | u) of one permutation prefix, as indices
+  // into masks_.
   struct PrefixPair {
     std::uint32_t before;
     std::uint32_t with;
   };
 
-  // Prepare(C): draws the N orderings, fills `prefixes` and returns the
-  // bank's slots.
-  static std::vector<Coalition> sample(
-      const Instance& inst, const RandOptions& options,
-      std::vector<std::vector<PrefixPair>>& prefixes);
-
-  std::uint32_t grand_slot() const { return bank_.size() - 1; }
-  const Engine& grand() const { return bank_.engine(grand_slot()); }
   // phi2 estimates from the sampled values at time t.
   std::vector<double> contributions2(Time t) const;
 
+  const Instance* inst_;
   RandOptions options_;
+  // The distinct sampled coalitions, ascending, the empty one first.
+  std::vector<Coalition::Mask> masks_;
   // Per organization: one sampled pair per permutation. Multiplicity
   // matters.
   std::vector<std::vector<PrefixPair>> prefix_slots_;
-  // One FCFS policy per sampled slot, attached to its engine for the whole
-  // run. Declared before bank_ so it outlives the engines that point to it.
-  std::vector<FcfsPolicy> fcfs_;
-  CoalitionBank bank_;
+  // One trajectory per entry of masks_, built by run(). A read moves its
+  // cursor, which is safe because the grand clock only moves forward.
+  mutable std::vector<FcfsValueTrajectory> sampled_;
+  Engine grand_;
+  bool ran_ = false;
 };
 
 }  // namespace fairsched

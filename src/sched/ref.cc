@@ -6,8 +6,8 @@ namespace fairsched {
 
 namespace {
 
-// The bank's slots: every coalition, ascending (slot = mask).
-std::vector<Coalition> all_coalitions(const Instance& inst) {
+// The bank holds all 2^k coalitions, so k is checked before it is built.
+const Instance& checked(const Instance& inst) {
   const std::uint32_t k = inst.num_orgs();
   if (k == 0) throw std::invalid_argument("RefScheduler: empty instance");
   if (k > RefScheduler::kMaxOrgs) {
@@ -15,17 +15,13 @@ std::vector<Coalition> all_coalitions(const Instance& inst) {
         "RefScheduler: too many organizations for the exponential reference "
         "algorithm (max 16)");
   }
-  std::vector<Coalition> slots;
-  for (Coalition::Mask mask = 0; mask < (Coalition::Mask{1} << k); ++mask) {
-    slots.push_back(Coalition(mask));
-  }
-  return slots;
+  return inst;
 }
 
 }  // namespace
 
 RefScheduler::RefScheduler(const Instance& inst)
-    : inst_(&inst), bank_(inst, all_coalitions(inst)) {
+    : inst_(&inst), bank_(checked(inst)) {
   vcache_.assign(bank_.size(), 0.0);
   weights_.reserve(inst.num_orgs());
   for (std::uint32_t s = 1; s <= inst.num_orgs(); ++s) weights_.emplace_back(s);

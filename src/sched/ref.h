@@ -8,14 +8,17 @@
 // computed from the current values v(C') of all subcoalitions C' of C via
 // the Shapley subset formula (Eq. 1), and the job of the organization
 // maximizing phi(u) - psi(u) is started: Fig. 3's psi_sp specialisation of
-// Fig. 1's generic Distance rule. tests/test_ref.cc keeps a per-time-moment
-// transcription of Fig. 1 as the reference this scheduler is checked
-// against.
+// Fig. 1's generic Distance rule. The contributions are doubles, so
+// deficits that are equal in exact arithmetic can differ by a few ulps,
+// and then floating-point rounding, not the org id, breaks the tie
+// (start_by_deficit in sched/coalition_bank.h). tests/test_ref.cc keeps a
+// per-time-moment transcription of Fig. 1 as the reference this scheduler
+// is checked against.
 //
 // Scheduling decisions of C recursively depend on the subcoalitions'
 // values *at the same time moment* (Definition 3.1). All 2^k-1 engines run
-// on the one wake-up loop of sched/coalition_bank.h, shared with RAND,
-// which orders them by (time, slot) and makes each v(C', t) an O(1) read
+// on the one wake-up loop of sched/coalition_bank.h, which orders them by
+// (time, slot) and makes each v(C', t) an O(1) read
 // when C acts at t. Between events, engines advance by closed-form accrual
 // only (a greedy algorithm makes no decision while no machine frees and no
 // job arrives), which makes the event-driven run identical to the paper's

@@ -86,9 +86,7 @@ void Engine::lazy_accrue(OrgId u) const {
 
 void Engine::fold_aggregate() {
   if (agg_.at == now_) return;
-  agg_.psi2 = value2();
-  agg_.work = total_work_done();
-  agg_.at = now_;
+  agg_.fold_to(now_);
   sync_mirror();
 }
 

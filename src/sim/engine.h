@@ -52,12 +52,12 @@
 //
 // The engine is a manually steppable state machine (advance_to /
 // start_front) so that the ensemble schedulers can interleave many engines
-// on one timeline: REF (one engine per subcoalition) and RAND (one per
-// sampled coalition, plus the grand engine) both run on the single wake-up
-// loop of sched/coalition_bank.h. `run(policy, horizon)` is the
-// convenience driver used by ordinary policies; it attaches the policy so
-// the push notifications of the incremental Policy API (sim/policy.h) are
-// delivered. Manual drivers may attach a listener themselves via attach().
+// on one timeline: REF runs one engine per subcoalition on the single
+// wake-up loop of sched/coalition_bank.h, and RAND steps its grand engine
+// itself. `run(policy, horizon)` is the convenience driver used by
+// ordinary policies; it attaches the policy so the push notifications of
+// the incremental Policy API (sim/policy.h) are delivered. Manual drivers
+// may attach a listener themselves via attach().
 //
 // An engine can be restricted to a coalition: only member organizations'
 // machines exist and only their jobs arrive. Organization ids keep their
@@ -248,10 +248,18 @@ class Engine {
     // releases are harmless, since a waiting job accrues nothing.
     // Engine::value2() is this at now(); the coalition bank reads it at
     // later times off the mirror (see the invariant in
-    // sched/coalition_bank.h).
+    // sched/coalition_bank.h), and RAND's FCFS value trajectories fold one
+    // per start and completion (sched/rand_fair.h).
     HalfUtil value2_at(Time t) const {
       const Time d = t - at;
       return psi2 + 2 * work * d + static_cast<HalfUtil>(running) * d * (d + 1);
+    }
+    // Makes the sums exact at t, under the same condition; done before
+    // every change of `running`.
+    void fold_to(Time t) {
+      psi2 = value2_at(t);
+      work += static_cast<std::int64_t>(running) * (t - at);
+      at = t;
     }
   };
 

@@ -20,11 +20,11 @@
 namespace fairsched {
 namespace {
 
-// The RAND loop as it was before RAND moved onto the coalition bank, kept
-// as the reference RandScheduler is checked against: the grand engine
-// steps through its own decision times, and before each decision burst
-// every sampled engine is advanced eagerly to that time by an FCFS policy
-// attached for the catch-up.
+// An eager RAND loop over FCFS engines, the reference RandScheduler's list
+// schedules are checked against: the grand engine steps through its own
+// decision times, and before each decision burst every sampled coalition's
+// engine is advanced eagerly to that time by an FCFS policy attached for
+// the catch-up.
 class EagerRand {
  public:
   EagerRand(const Instance& inst, RandOptions options)
@@ -142,6 +142,101 @@ Instance unit_instance(std::uint32_t k, std::uint32_t jobs_per_org,
   return std::move(b).build();
 }
 
+// Mixed sizes on one or two machines per organization: the queue is never
+// empty for long, so FCFS order and queueing move the values.
+Instance contended_instance(std::uint32_t k, std::uint32_t jobs_per_org,
+                            std::uint64_t seed) {
+  InstanceBuilder b;
+  Rng rng(seed);
+  for (std::uint32_t u = 0; u < k; ++u) {
+    b.add_org(std::string("o").append(std::to_string(u)),
+              1 + static_cast<std::uint32_t>(rng.uniform_u64(2)));
+  }
+  for (std::uint32_t u = 0; u < k; ++u) {
+    for (std::uint32_t i = 0; i < jobs_per_org; ++i) {
+      b.add_job(u, static_cast<Time>(rng.uniform_u64(60)),
+                1 + static_cast<Time>(rng.uniform_u64(8)));
+    }
+  }
+  return std::move(b).build();
+}
+
+// At every integer t in [0, horizon], the list-schedule trajectory of `c`
+// must read the value an Engine driven by FcfsPolicy reaches at t.
+void expect_trajectory_matches_fcfs_engine(const Instance& inst, Coalition c,
+                                           Time horizon) {
+  SCOPED_TRACE(::testing::Message() << "mask=" << c.mask());
+  FcfsValueTrajectory trajectory(inst, c, horizon);
+  for (Time t = 0; t <= horizon; ++t) {
+    Engine engine(inst, c);
+    FcfsPolicy fcfs;
+    engine.run(fcfs, t);
+    ASSERT_EQ(trajectory.value2_at(t), engine.value2()) << "t=" << t;
+  }
+}
+
+TEST(FcfsValueTrajectory, ZeroMachinesStartNothing) {
+  InstanceBuilder b;
+  b.add_org("idle", 0);
+  b.add_org("host", 2);
+  for (Time r : {0, 0, 3, 7}) {
+    b.add_job(0, r, 4);
+    b.add_job(1, r, 2);
+  }
+  const Instance inst = std::move(b).build();
+  expect_trajectory_matches_fcfs_engine(inst, Coalition(0b01), 20);
+  expect_trajectory_matches_fcfs_engine(inst, Coalition(0b11), 20);
+  FcfsValueTrajectory idle(inst, Coalition(0b01), 20);
+  EXPECT_EQ(idle.value2_at(20), 0);
+}
+
+TEST(FcfsValueTrajectory, EqualReleasesAcrossOrgsGoToTheLowerOrg) {
+  // Every org releases its jobs at the same two moments on too few
+  // machines, so each tie on release is broken by the org id, and the
+  // sizes differ, so the order decides when the machines drain.
+  InstanceBuilder b;
+  for (std::uint32_t u = 0; u < 3; ++u) {
+    b.add_org(std::string("o").append(std::to_string(u)), u == 2 ? 0 : 1);
+  }
+  for (OrgId u = 0; u < 3; ++u) {
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      b.add_job(u, i < 2 ? 0 : 5, 1 + 3 * u + i);
+    }
+  }
+  const Instance inst = std::move(b).build();
+  for (Coalition::Mask mask = 1; mask < 8; ++mask) {
+    expect_trajectory_matches_fcfs_engine(inst, Coalition(mask), 60);
+  }
+}
+
+TEST(FcfsValueTrajectory, JobsAtOrAfterTheHorizonAreNotListed) {
+  InstanceBuilder b;
+  b.add_org("a", 1);
+  b.add_org("b", 1);
+  for (Time r : {0, 2, 9, 10, 10, 14}) {
+    b.add_job(0, r, 3);
+    b.add_job(1, r, 2);
+  }
+  const Instance inst = std::move(b).build();
+  for (Coalition::Mask mask = 1; mask < 4; ++mask) {
+    expect_trajectory_matches_fcfs_engine(inst, Coalition(mask), 10);
+  }
+}
+
+TEST(FcfsValueTrajectory, SingleOrgIsItsFifoSchedule) {
+  const Instance inst = contended_instance(1, 25, 5);
+  expect_trajectory_matches_fcfs_engine(inst, Coalition(1), 120);
+}
+
+TEST(FcfsValueTrajectory, MatchesFcfsEnginesOnContendedWindows) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const Instance inst = contended_instance(4, 15, seed);
+    for (Coalition::Mask mask = 1; mask < 16; ++mask) {
+      expect_trajectory_matches_fcfs_engine(inst, Coalition(mask), 150);
+    }
+  }
+}
+
 TEST(Rand, ProducesFeasibleGreedySchedule) {
   const Instance inst = make_synthetic_instance(
       preset_lpc_egee(), 4, 1500, MachineSplit::kZipf, 1.0, 51);
@@ -224,22 +319,43 @@ TEST(Rand, TheoremSampleBoundFormula) {
 }
 
 TEST(Rand, MatchesTheEagerReferenceBitForBit) {
-  // The bank port must reproduce the eager loop exactly: the grand
-  // schedule, its utilities, the final contribution estimates and the
-  // number of simulated coalitions, on unit jobs (Prop. 5.4's setting) and
-  // on LPC-shaped mixed sizes (the Section 7 heuristic).
+  // The list-schedule trajectories must reproduce the eager loop over FCFS
+  // engines exactly: the grand schedule, its utilities, the final
+  // contribution estimates and the number of sampled coalitions. Windows:
+  // unit jobs (Prop. 5.4's setting); LPC-shaped mixed sizes (the Section 7
+  // heuristic); and two contended mixed-size shapes, one or two machines
+  // per org and RICC at 1/64 scale, where FCFS order and queueing change
+  // the sampled values.
+  enum class Window { kUnit, kLpc, kContended, kRicc };
   for (const std::uint32_t k : {2u, 3u, 5u, 8u}) {
     for (const std::size_t n : {1u, 15u, 75u}) {
       for (const std::uint64_t seed : {3u, 8u, 21u}) {
-        for (const bool unit : {true, false}) {
+        for (const Window window : {Window::kUnit, Window::kLpc,
+                                    Window::kContended, Window::kRicc}) {
           SCOPED_TRACE(::testing::Message() << "k=" << k << " N=" << n
-                                            << " seed=" << seed
-                                            << (unit ? " unit" : " lpc"));
-          const Time horizon = unit ? 80 : 1200;
-          const Instance inst =
-              unit ? unit_instance(k, 12, seed)
-                   : make_synthetic_instance(preset_lpc_egee(), k, horizon,
+                                            << " seed=" << seed << " window="
+                                            << static_cast<int>(window));
+          Time horizon = 80;
+          Instance inst;
+          switch (window) {
+            case Window::kUnit:
+              inst = unit_instance(k, 12, seed);
+              break;
+            case Window::kLpc:
+              horizon = 1200;
+              inst = make_synthetic_instance(preset_lpc_egee(), k, horizon,
                                              MachineSplit::kZipf, 1.0, seed);
+              break;
+            case Window::kContended:
+              horizon = 150;
+              inst = contended_instance(k, 15, seed);
+              break;
+            case Window::kRicc:
+              horizon = 5000;
+              inst = make_synthetic_instance(preset_ricc(64.0), k, horizon,
+                                             MachineSplit::kZipf, 1.0, seed);
+              break;
+          }
           EagerRand reference(inst, RandOptions{n, seed + 100});
           RandScheduler rand(inst, RandOptions{n, seed + 100});
           reference.run(horizon);

@@ -375,11 +375,7 @@ TEST(CoalitionBank, WakesInTimeThenSlotOrder) {
   // order: at t = 0 all fifteen coalitions wake, mask 3 = {0, 1} before
   // mask 4 = {2} although it is the larger coalition.
   const Instance inst = symmetric_instance(4, 3, 2);
-  std::vector<Coalition> slots;
-  for (Coalition::Mask mask = 0; mask < 16; ++mask) {
-    slots.push_back(Coalition(mask));
-  }
-  CoalitionBank bank(inst, slots);
+  CoalitionBank bank(inst);
   std::vector<std::pair<Time, std::uint32_t>> wakes;
   bank.run(20, [&](std::uint32_t slot, Time t) {
     wakes.emplace_back(t, slot);
@@ -396,6 +392,40 @@ TEST(CoalitionBank, WakesInTimeThenSlotOrder) {
         << ") after (" << wakes[i - 1].first << ", " << wakes[i - 1].second
         << ")";
   }
+}
+
+TEST(Ref, NearTieIsDecidedByFloatingPointRounding) {
+  // start_by_deficit compares doubles. Eq. 1 sums factorial-weighted
+  // doubles, so two deficits that are equal in exact arithmetic can come
+  // out a few ulps apart, and then the rounding picks, not the lower id.
+  // This pins today's pick on one such tie, so that a switch to exact
+  // integer contributions shows here and is made on purpose. At t = 21 the
+  // grand coalition of this instance has free machines and orgs 1 and 2
+  // waiting, each with deficit phi2 - psi2 = 17/3 exactly; org 2 is
+  // started first and takes the lowest free machine.
+  const Instance inst = contended_instance(3, 15, 17);
+  RefScheduler before(inst);
+  before.run(21);  // the state at t = 21, before its decisions
+  const Engine& grand = before.engine(Coalition::grand(3));
+  EXPECT_EQ(grand.waiting(0), 0u);
+  EXPECT_EQ(grand.waiting(1), 1u);
+  EXPECT_EQ(grand.waiting(2), 1u);
+  EXPECT_GE(grand.free_machines(), 2u);
+  const std::vector<double> phi = before.contributions();
+  const std::vector<HalfUtil> psi2 = before.utilities2();
+  const double deficit1 = 2.0 * phi[1] - static_cast<double>(psi2[1]);
+  const double deficit2 = 2.0 * phi[2] - static_cast<double>(psi2[2]);
+  EXPECT_NEAR(deficit1, 17.0 / 3.0, 1e-12);
+  EXPECT_NEAR(deficit2, 17.0 / 3.0, 1e-12);
+  EXPECT_LT(deficit1, deficit2);
+
+  RefScheduler after(inst);
+  after.run(22);
+  std::vector<Placement> at21;
+  for (const Placement& p : after.schedule().placements()) {
+    if (p.start == 21) at21.push_back(p);
+  }
+  EXPECT_EQ(at21, (std::vector<Placement>{{2, 2, 21, 0}, {1, 5, 21, 4}}));
 }
 
 TEST(Ref, RunTwiceThrows) {

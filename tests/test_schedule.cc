@@ -28,6 +28,13 @@ TEST(Schedule, StartAndCompletionLookups) {
   EXPECT_EQ(s.num_started(0), 1u);
 }
 
+TEST(Schedule, PlacementPrintsItsFields) {
+  // gtest finds the printer by ADL, so a failing placements() comparison
+  // shows (org, index, start, machine) instead of raw bytes.
+  EXPECT_EQ(::testing::PrintToString(Placement{1, 2, 30, 4}),
+            "(1, 2, 30, 4)");
+}
+
 TEST(Schedule, ValidGreedySchedulePasses) {
   const Instance inst = simple_instance();
   Schedule s(inst.num_orgs());
